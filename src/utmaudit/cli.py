@@ -2,7 +2,8 @@
 
 Subcommands map onto the audit workflow: validate a manifest, stand up the
 mock deployment, scan it, re-render saved reports, list the registry.
-Output and exit codes are machine-stable: 0 clean, 1 findings, 2 error.
+Output and exit codes are machine-stable: 0 clean, 1 findings, 2 error,
+including a scan that could assess none of its checks.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import json
 import os
 import signal
 import sys
-import threading
 import time
 from typing import Optional
 
 from . import __version__, engine
 from .manifest import ManifestError, manifest_digest, parse_manifest_file
 from .netprobe import DEFAULT_TIMEOUT_MS
+from .results import CheckStatus
 from .testbed.toggles import PROFILES, TOGGLES, UnknownToggleError
 
 EXIT_CLEAN = 0
@@ -132,7 +133,7 @@ def cmd_scan(args) -> int:
         timeout_ms = DEFAULT_TIMEOUT_MS
     report = engine.run_audit(manifest, selection, probe_timeout_ms=timeout_ms)
     _emit(engine.render_report(report, args.format), args.out)
-    return EXIT_FINDINGS if report.findings else EXIT_CLEAN
+    return _exit_code(report)
 
 
 def cmd_report(args) -> int:
@@ -140,7 +141,20 @@ def cmd_report(args) -> int:
         doc = json.load(fh)
     report = engine.report_from_dict(doc)
     _emit(engine.render_report(report, args.format), args.out)
-    return EXIT_FINDINGS if report.findings else EXIT_CLEAN
+    return _exit_code(report)
+
+
+def _exit_code(report: engine.Report) -> int:
+    """1 for any Fail; 2 when no check passed and at least one could not be
+    assessed, since a clean exit would claim a verdict nothing supports."""
+    statuses = {r.status for r in report.results}
+    if CheckStatus.FAIL in statuses:
+        return EXIT_FINDINGS
+    if CheckStatus.NOT_ASSESSABLE in statuses and CheckStatus.PASS not in statuses:
+        print("utmaudit: no selected check could be assessed against the target",
+              file=sys.stderr)
+        return EXIT_ERROR
+    return EXIT_CLEAN
 
 
 def cmd_checks(args) -> int:
@@ -176,34 +190,35 @@ def cmd_testbed(args) -> int:
     return EXIT_ERROR
 
 
+_STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
 def _testbed_up(args) -> int:
     from .testbed.harness import start_testbed
 
     port_base = args.port_base
     if port_base is None:
         port_base = _env_int(ENV_PORT_BASE)
+    # Block the stop signals before any testbed thread starts, so every
+    # thread inherits the mask and sigwait below is the only receiver: no
+    # handler ever runs, so none can interrupt a lock holder. The no-op
+    # handlers keep an inherited SIG_IGN from discarding the signals.
+    signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, lambda signum, frame: None)
     tb = start_testbed(
         _split_toggles(args.toggle), profile=args.profile, port_base=port_base
     )
-    state = {
-        "pid": os.getpid(),
-        "manifest": tb.manifest_path,
-        "port_base": tb.port_base,
-    }
-    with open(args.state, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-
-    print(tb.manifest_path, flush=True)
-
-    stop_signal = threading.Event()
-
-    def _on_signal(signum, frame):
-        stop_signal.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
     try:
-        stop_signal.wait()
+        state = {
+            "pid": os.getpid(),
+            "manifest": tb.manifest_path,
+            "port_base": tb.port_base,
+        }
+        with open(args.state, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        print(tb.manifest_path, flush=True)
+        signal.sigwait(_STOP_SIGNALS)
     finally:
         tb.stop()
         try:

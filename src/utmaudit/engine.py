@@ -9,6 +9,7 @@ Finding per failure, and renders the whole thing as JSON or text.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -19,7 +20,10 @@ from . import __version__
 from . import jwtkit, logaudit, netprobe, oauthaudit, sqliprobe, tlsaudit
 from .manifest import TargetManifest, manifest_digest
 from .oauthaudit import make_mint
-from .results import AREA_ORDER, CheckResult, CheckStatus, Finding, Severity, check_sort_key
+from .results import (
+    AREA_ORDER, CheckResult, CheckStatus, Finding, Severity, aborted, check_sort_key,
+    run_checks, uniform,
+)
 from .wire import HttpClient
 
 SCHEMA_VERSION = "1.0"
@@ -335,31 +339,24 @@ def _finding_for(result: CheckResult) -> Finding:
 
 
 def _run_web_area(manifest: TargetManifest) -> list[CheckResult]:
-    web = manifest.web_apps()
-    if not web:
-        return [CheckResult("WEB-01", CheckStatus.SKIPPED,
-                            ["no web interface declared"])]
-    names = ", ".join(c.id for c in web)
+    names = ", ".join(c.id for c in manifest.web_apps())
     return [CheckResult(
         "WEB-01", CheckStatus.SKIPPED,
         [f"manual assessment required for: {names}"],
     )]
 
 
-def _run_jwt_area(manifest, http, mint) -> list[CheckResult]:
+def _run_jwt_area(manifest, http, mint, wanted) -> list[CheckResult]:
     services = jwtkit.token_services(manifest)
     if not services:
-        return [CheckResult(check_id, CheckStatus.SKIPPED,
-                            ["no token-accepting services declared"])
-                for check_id in _AREA_IDS["JWT"]]
+        return uniform(wanted, CheckStatus.SKIPPED,
+                       "no token-accepting services declared")
     anchor = services[0]
     live = mint(scope=anchor.read.scope, audience=anchor.audience)
     if live is None:
-        return [CheckResult(
-            check_id, CheckStatus.NOT_ASSESSABLE,
-            ["authorization server did not issue a probe token"],
-        ) for check_id in _AREA_IDS["JWT"]]
-    return jwtkit.run_jwt_battery(manifest, live, http=http, mint=mint)
+        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
+                       "authorization server did not issue a probe token")
+    return jwtkit.run_jwt_battery(manifest, live, http=http, mint=mint, wanted=wanted)
 
 
 def _result_skipped(check_id: str) -> CheckResult:
@@ -378,9 +375,12 @@ def run_audit(
     """Execute the applicable registry checks and assemble a report.
 
     Areas fan out to worker threads; within one area checks run serially so
-    evidence trails stay readable. A worker crash never aborts the audit:
-    its checks come back NotAssessable with the error as evidence. With a
-    selection only the named checks appear in the report.
+    evidence trails stay readable. Only this function decides applicability:
+    each area runs just its selected, applicable checks, and everything else
+    selected is reported Skipped. A check that raises comes back
+    NotAssessable on its own; a failure in an area's shared set-up does the
+    same for that area's checks. With a selection only the named checks
+    appear in the report.
     """
     if selection is not None:
         unknown = set(selection) - set(_BY_ID)
@@ -392,6 +392,10 @@ def run_audit(
     started = time.monotonic()
     wanted = set(_BY_ID) if selection is None else set(selection)
     applicable = set(applicable_checks(manifest))
+    active = {
+        area: [i for i in ids if i in wanted and i in applicable]
+        for area, ids in _AREA_IDS.items()
+    }
 
     http = HttpClient(
         ca_path=manifest.ca_path,
@@ -404,37 +408,38 @@ def run_audit(
     mint = make_mint(manifest, http)
 
     def run_db() -> list[CheckResult]:
-        return [
-            tlsaudit.check_db_transport(manifest),
-            sqliprobe.check_sql_injection(manifest, http, mint=mint),
-            *tlsaudit.check_data_at_rest(manifest),
-        ]
+        # DB-03 and DB-04 judge the same stored bytes; read them once.
+        at_rest = functools.cache(lambda: tlsaudit.check_data_at_rest(manifest))
+        return run_checks(active["DB"], [
+            ("DB-01", lambda: tlsaudit.check_db_transport(manifest)),
+            ("DB-02", lambda: sqliprobe.check_sql_injection(manifest, http, mint=mint)),
+            ("DB-03", lambda: at_rest()[0]),
+            ("DB-04", lambda: at_rest()[1]),
+        ])
 
     workers: dict[str, Callable[[], list[CheckResult]]] = {
         "NET": lambda: netprobe.check_zones(manifest, timeout_ms=probe_timeout_ms),
         "DB": run_db,
-        "OAUTH": lambda: oauthaudit.check_oauth(manifest, http),
-        "JWT": lambda: _run_jwt_area(manifest, http, mint),
+        "OAUTH": lambda: oauthaudit.check_oauth(manifest, http, active["OAUTH"]),
+        "JWT": lambda: _run_jwt_area(manifest, http, mint, active["JWT"]),
         "WEB": lambda: _run_web_area(manifest),
-        "LOG": lambda: logaudit.check_logs(manifest, mint, http),
+        "LOG": lambda: logaudit.check_logs(manifest, mint, http, active["LOG"]),
     }
 
-    areas = [a for a in AREA_ORDER if any(i in wanted for i in _AREA_IDS[a])]
+    areas = [a for a in AREA_ORDER if active[a]]
     collected: dict[str, CheckResult] = {}
     with concurrent.futures.ThreadPoolExecutor(max_workers=len(areas) or 1) as pool:
         futures = {pool.submit(workers[a]): a for a in areas}
         for future in concurrent.futures.as_completed(futures):
             area = futures[future]
             try:
-                for result in future.result():
-                    collected[result.check_id] = result
-            except Exception as exc:  # surface, never abort the audit
-                note = f"probe aborted: {exc.__class__.__name__}: {exc}"
-                for check_id in _AREA_IDS[area]:
-                    collected.setdefault(
-                        check_id,
-                        CheckResult(check_id, CheckStatus.NOT_ASSESSABLE, [note]),
-                    )
+                area_results = future.result()
+            except Exception as exc:  # area set-up failed; never abort the audit
+                area_results = uniform(
+                    active[area], CheckStatus.NOT_ASSESSABLE, aborted(exc)
+                )
+            for result in area_results:
+                collected[result.check_id] = result
 
     results: list[CheckResult] = []
     for d in REGISTRY:

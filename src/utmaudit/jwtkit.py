@@ -20,14 +20,16 @@ import hmac
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .manifest import ComponentSpec, TargetManifest, Zone, expected_zone
-from .results import CheckResult, CheckStatus
+from .results import (
+    CheckResult, CheckStatus, Outcome, fold, judged, note, run_checks, unassessable,
+)
 from .wire import HttpClient, WireError
 
 _B64URL_RE = re.compile(r"^[A-Za-z0-9_-]*$")
@@ -73,10 +75,6 @@ class SignedToken:
     # Original part strings are authoritative; header/claims are parsed views.
     header_b64: str
     claims_b64: str
-
-    @property
-    def original_compact(self) -> str:
-        return self.compact()
 
     def compact(self) -> str:
         return f"{self.header_b64}.{self.claims_b64}.{b64url_encode(self.signature)}"
@@ -364,30 +362,15 @@ def forge(base: SignedToken, mutation: Mutation) -> SignedToken:
 # Live battery
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class JwtAuditConfig:
-    lifetime_threshold_s: int = 900
-    allowed_algs: frozenset = frozenset({"RS256", "ES256", "PS256"})
-    clock_skew_s: int = 30
-    key_paths: tuple = ("/private.pem", "/.env", "/keys/")
-
-    def accepted(self, status: int) -> bool:
-        return 200 <= status < 300
-
-
-@dataclass(frozen=True)
-class AcceptanceVerdict:
-    endpoint_label: str
-    token_variant: str
-    http_status: int
-    accepted: bool
-
+LIFETIME_THRESHOLD_S = 900
+ALLOWED_ALGS = frozenset({"RS256", "ES256", "PS256"})
+KEY_PATHS = ("/private.pem", "/.env", "/keys/")
 
 # mint(scope, audience, lifetime_s, iat_offset_s) -> SignedToken or None.
 MintFn = Callable[..., Optional[SignedToken]]
 
 _KEY_EXPOSURE_MARKERS = (b"PRIVATE KEY", b"client_secret=", b"CLIENT_SECRET=")
+_NO_SERVICES = "no token-accepting services declared"
 
 
 def token_services(manifest: TargetManifest) -> list[ComponentSpec]:
@@ -408,7 +391,7 @@ def _source_for(http: HttpClient, comp: ComponentSpec) -> str:
     return "external"
 
 
-def _present(
+def _presented(
     http: HttpClient,
     comp: ComponentSpec,
     method: str,
@@ -416,27 +399,26 @@ def _present(
     token: str,
     variant: str,
     body: Optional[bytes] = None,
-) -> AcceptanceVerdict:
-    endpoint = comp.primary_endpoint()
-    url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}{path}"
-    resp = http.request(
-        method,
-        url,
-        body=body,
-        headers={"Authorization": f"Bearer {token}"},
-        source=_source_for(http, comp),
+) -> Outcome:
+    """Present one token to an action: acceptance fails the check, a
+    transport error leaves this target unassessed."""
+    try:
+        resp = http.request(
+            method,
+            comp.primary_endpoint().url(path),
+            body=body,
+            headers={"Authorization": f"Bearer {token}"},
+            source=_source_for(http, comp),
+        )
+    except WireError as exc:
+        return unassessable(f"{comp.id}: {exc}")
+    accepted = 200 <= resp.status < 300
+    word = "accepted" if accepted else "rejected"
+    return judged(
+        accepted,
+        f"{comp.id} {method} {path} with {variant} token: HTTP {resp.status} ({word})",
+        comp.id,
     )
-    return AcceptanceVerdict(
-        endpoint_label=f"{comp.id} {method} {path}",
-        token_variant=variant,
-        http_status=resp.status,
-        accepted=200 <= resp.status < 300,
-    )
-
-
-def _verdict_line(v: AcceptanceVerdict) -> str:
-    word = "accepted" if v.accepted else "rejected"
-    return f"{v.endpoint_label} with {v.token_variant} token: HTTP {v.http_status} ({word})"
 
 
 def _rejects_anonymous(
@@ -451,10 +433,9 @@ def _rejects_anonymous(
     None when the service cannot be reached; the per-check probes surface
     that as NotAssessable themselves.
     """
-    endpoint = comp.primary_endpoint()
-    url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}{path}"
     try:
-        resp = http.request(method, url, body=body, source=_source_for(http, comp))
+        resp = http.request(method, comp.primary_endpoint().url(path), body=body,
+                            source=_source_for(http, comp))
     except WireError:
         return None
     return not (200 <= resp.status < 300)
@@ -462,7 +443,7 @@ def _rejects_anonymous(
 
 def _enforcing_services(
     services: list[ComponentSpec], http: HttpClient
-) -> tuple[list[ComponentSpec], list[str]]:
+) -> tuple[list[ComponentSpec], list[Outcome]]:
     """Split off services whose read action admits anonymous callers.
 
     Presenting a forged token to an action that never demands one proves
@@ -471,22 +452,16 @@ def _enforcing_services(
     report them NotAssessable with their own evidence.
     """
     enforcing: list[ComponentSpec] = []
-    notes: list[str] = []
+    notes: list[Outcome] = []
     for comp in services:
         if _rejects_anonymous(http, comp, comp.read.method, comp.read.path) is False:
-            notes.append(
+            notes.append(note(
                 f"{comp.id} {comp.read.method} {comp.read.path}: accepts "
                 "anonymous requests; token validation not exercised there"
-            )
+            ))
         else:
             enforcing.append(comp)
     return enforcing, notes
-
-
-def _with_notes(result: CheckResult, notes: list[str]) -> CheckResult:
-    if notes:
-        result.evidence[:0] = notes
-    return result
 
 
 def run_jwt_battery(
@@ -496,61 +471,47 @@ def run_jwt_battery(
     *,
     http: HttpClient,
     mint: MintFn,
-    config: JwtAuditConfig = JwtAuditConfig(),
+    wanted: Collection[str],
 ) -> list[CheckResult]:
-    """Execute JWT-01..JWT-10 against every token-accepting service."""
+    """Execute the wanted checks of JWT-01..JWT-10 against every
+    token-accepting service."""
     services = token_services(manifest)
     if keys is None:
         keys = _fetch_jwks(manifest, http)
+    enforcing, notes = _enforcing_services(services, http)
 
-    enforcing, open_notes = _enforcing_services(services, http)
+    baselines: dict[str, Optional[SignedToken]] = {}
 
-    results = [
-        _check_lifetime(live_token, config),
-        _with_notes(
-            _check_expired(manifest, enforcing, http, mint, config), open_notes
-        ),
-        _check_algorithm(live_token, config),
-        _check_key_exposure(manifest, http, keys, config),
-    ]
+    def baseline(comp: ComponentSpec) -> Optional[SignedToken]:
+        if comp.id not in baselines:
+            baselines[comp.id] = mint(scope=comp.read.scope, audience=comp.audience)
+        return baselines[comp.id]
 
-    baselines: dict[str, SignedToken] = {}
-    for comp in services:
-        token = mint(scope=comp.read.scope, audience=comp.audience)
-        if token is not None:
-            baselines[comp.id] = token
-
-    results.append(_with_notes(
-        _check_forgeries(enforcing, baselines, http, "JWT-05",
-                         [StripSignature(), FlipSignatureBit(0)],
-                         "signature validation enforced for every variant"),
-        open_notes,
-    ))
-    results.append(_with_notes(
-        _check_forgeries(enforcing, baselines, http, "JWT-06",
-                         [SetAlgNone()],
-                         "alg=none token rejected everywhere"),
-        open_notes,
-    ))
-    results.append(_with_notes(
-        _check_confusion(enforcing, baselines, http, keys), open_notes
-    ))
-    results.append(_check_scope(manifest, services, baselines, http))
-    results.append(_with_notes(
-        _check_audience(services, enforcing, http, mint), open_notes
-    ))
-    results.append(_check_web_token_storage(manifest, http))
-    return results
+    return run_checks(wanted, [
+        ("JWT-01", lambda: _check_lifetime(live_token)),
+        ("JWT-02", lambda: _check_expired(manifest, enforcing, notes, http, mint)),
+        ("JWT-03", lambda: _check_algorithm(live_token)),
+        ("JWT-04", lambda: _check_key_exposure(manifest, http, keys)),
+        ("JWT-05", lambda: _check_forgeries(
+            "JWT-05", enforcing, notes, baseline, http,
+            [StripSignature(), FlipSignatureBit(0)],
+            "signature validation enforced for every variant")),
+        ("JWT-06", lambda: _check_forgeries(
+            "JWT-06", enforcing, notes, baseline, http,
+            [SetAlgNone()], "alg=none token rejected everywhere")),
+        ("JWT-07", lambda: _check_confusion(enforcing, notes, baseline, http, keys)),
+        ("JWT-08", lambda: _check_scope(services, baseline, http)),
+        ("JWT-09", lambda: _check_audience(services, enforcing, notes, http, mint)),
+        ("JWT-10", lambda: _check_web_token_storage(manifest, http)),
+    ])
 
 
 def _fetch_jwks(manifest: TargetManifest, http: HttpClient) -> Optional[dict]:
     server = manifest.oauth_server()
     if not server.jwks_path:
         return None
-    endpoint = server.primary_endpoint()
-    url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}{server.jwks_path}"
     try:
-        resp = http.request("GET", url)
+        resp = http.request("GET", server.primary_endpoint().url(server.jwks_path))
         if resp.status == 200:
             doc = resp.json()
             if isinstance(doc, dict):
@@ -560,7 +521,7 @@ def _fetch_jwks(manifest: TargetManifest, http: HttpClient) -> Optional[dict]:
     return None
 
 
-def _check_lifetime(live_token: SignedToken, config: JwtAuditConfig) -> CheckResult:
+def _check_lifetime(live_token: SignedToken) -> CheckResult:
     claims = live_token.claims
     if "exp" not in claims:
         return CheckResult(
@@ -573,75 +534,54 @@ def _check_lifetime(live_token: SignedToken, config: JwtAuditConfig) -> CheckRes
             ["issued token carries exp but no iat; lifetime cannot be bounded at issue time"],
         )
     lifetime = int(claims["exp"]) - int(claims["iat"])
-    threshold = config.lifetime_threshold_s
-    if lifetime > threshold:
+    if lifetime > LIFETIME_THRESHOLD_S:
         return CheckResult(
             "JWT-01", CheckStatus.FAIL,
             [f"issued token lifetime exp-iat = {lifetime} s exceeds threshold: "
-             f"{lifetime} > {threshold}"],
+             f"{lifetime} > {LIFETIME_THRESHOLD_S}"],
         )
     return CheckResult(
         "JWT-01", CheckStatus.PASS,
-        [f"issued token lifetime exp-iat = {lifetime} s within threshold {threshold} s"],
+        [f"issued token lifetime exp-iat = {lifetime} s within threshold "
+         f"{LIFETIME_THRESHOLD_S} s"],
     )
 
 
 def _check_expired(
     manifest: TargetManifest,
     services: list[ComponentSpec],
+    notes: list[Outcome],
     http: HttpClient,
     mint: MintFn,
-    config: JwtAuditConfig,
 ) -> CheckResult:
     if not services:
-        return CheckResult("JWT-02", CheckStatus.NOT_ASSESSABLE,
-                           ["no token-accepting services declared"])
-    evidence = []
-    failed_component = None
-    assessed = False
+        return fold("JWT-02", notes + [unassessable(_NO_SERVICES)])
+    if not manifest.audit_fixture:
+        return fold("JWT-02", notes + [unassessable(
+            "a validly signed expired token cannot be obtained without issuer "
+            "cooperation; declare audit_fixture mode or wait out a real token "
+            "lifetime to assess expiry enforcement"
+        )])
+    outcomes = list(notes)
     for comp in services:
-        expired = None
-        if manifest.audit_fixture:
-            # Issuer fixture parameters yield a validly signed, already
-            # expired token; forging expiry would also break the signature
-            # and prove nothing about expiry enforcement.
-            expired = mint(
-                scope=comp.read.scope,
-                audience=comp.audience,
-                lifetime_s=60,
-                iat_offset_s=-3600,
-            )
+        # Issuer fixture parameters yield a validly signed, already expired
+        # token; forging expiry would also break the signature and prove
+        # nothing about expiry enforcement.
+        expired = mint(scope=comp.read.scope, audience=comp.audience,
+                       lifetime_s=60, iat_offset_s=-3600)
         if expired is None:
+            outcomes.append(unassessable(
+                f"{comp.id}: no validly signed expired token could be minted"))
             continue
-        assessed = True
-        try:
-            verdict = _present(
-                http, comp, comp.read.method, comp.read.path,
-                expired.compact(), "validly-signed expired",
-            )
-        except WireError as exc:
-            return CheckResult("JWT-02", CheckStatus.NOT_ASSESSABLE,
-                               [f"{comp.id}: {exc}"])
-        evidence.append(_verdict_line(verdict))
-        if verdict.accepted:
-            failed_component = failed_component or comp.id
-    if not assessed:
-        return CheckResult(
-            "JWT-02", CheckStatus.NOT_ASSESSABLE,
-            ["a validly signed expired token cannot be obtained without issuer "
-             "cooperation; declare audit_fixture mode or wait out a real token "
-             "lifetime to assess expiry enforcement"],
-        )
-    if failed_component:
-        return CheckResult("JWT-02", CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    return CheckResult("JWT-02", CheckStatus.PASS, evidence)
+        outcomes.append(_presented(http, comp, comp.read.method, comp.read.path,
+                                   expired.compact(), "validly-signed expired"))
+    return fold("JWT-02", outcomes)
 
 
-def _check_algorithm(live_token: SignedToken, config: JwtAuditConfig) -> CheckResult:
+def _check_algorithm(live_token: SignedToken) -> CheckResult:
     alg = live_token.header.get("alg")
-    allowed = ", ".join(sorted(config.allowed_algs))
-    if alg not in config.allowed_algs:
+    allowed = ", ".join(sorted(ALLOWED_ALGS))
+    if alg not in ALLOWED_ALGS:
         return CheckResult(
             "JWT-03", CheckStatus.FAIL,
             [f"issued token header alg = {alg}; outside allowed set: {allowed}"],
@@ -653,13 +593,9 @@ def _check_algorithm(live_token: SignedToken, config: JwtAuditConfig) -> CheckRe
 
 
 def _check_key_exposure(
-    manifest: TargetManifest,
-    http: HttpClient,
-    keys: Optional[dict],
-    config: JwtAuditConfig,
+    manifest: TargetManifest, http: HttpClient, keys: Optional[dict]
 ) -> CheckResult:
-    evidence = []
-    failed_component = None
+    outcomes = []
     public_web = [
         comp
         for comp in manifest.components
@@ -668,160 +604,116 @@ def _check_key_exposure(
         and comp.primary_endpoint().scheme in ("http", "https")
     ]
     for comp in public_web:
-        endpoint = comp.primary_endpoint()
-        for path in config.key_paths:
-            url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}{path}"
+        for path in KEY_PATHS:
             try:
-                resp = http.request("GET", url)
+                resp = http.request("GET", comp.primary_endpoint().url(path))
             except WireError as exc:
-                return CheckResult("JWT-04", CheckStatus.NOT_ASSESSABLE,
-                                   [f"{comp.id}: {exc}"])
-            exposed = resp.status == 200 and any(
+                outcomes.append(unassessable(f"{comp.id}: {exc}"))
+                continue
+            if resp.status == 200 and any(
                 marker in resp.body for marker in _KEY_EXPOSURE_MARKERS
-            )
-            if exposed:
-                evidence.append(f"{comp.id} GET {path}: HTTP 200 returns key material")
-                failed_component = failed_component or comp.id
+            ):
+                outcomes.append(judged(
+                    True, f"{comp.id} GET {path}: HTTP 200 returns key material", comp.id))
             else:
-                evidence.append(f"{comp.id} GET {path}: HTTP {resp.status}")
-    if keys is not None:
-        exposed_fields = jwks_private_fields(keys)
-        if exposed_fields:
-            evidence.append(
-                "published JWKS exposes private fields: " + ", ".join(exposed_fields)
-            )
-            failed_component = failed_component or manifest.oauth_server().id
-        else:
-            evidence.append("published JWKS contains public parameters only")
+                outcomes.append(judged(False, f"{comp.id} GET {path}: HTTP {resp.status}"))
+    exposed = jwks_private_fields(keys) if keys is not None else []
+    if keys is None:
+        outcomes.append(judged(False, "no JWKS document published"))
+    elif exposed:
+        outcomes.append(judged(
+            True, "published JWKS exposes private fields: " + ", ".join(exposed),
+            manifest.oauth_server().id,
+        ))
     else:
-        evidence.append("no JWKS document published")
-    if failed_component:
-        return CheckResult("JWT-04", CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    return CheckResult("JWT-04", CheckStatus.PASS, evidence)
+        outcomes.append(judged(False, "published JWKS contains public parameters only"))
+    return fold("JWT-04", outcomes)
 
 
 def _check_forgeries(
-    services: list[ComponentSpec],
-    baselines: dict[str, SignedToken],
-    http: HttpClient,
     check_id: str,
+    services: list[ComponentSpec],
+    notes: list[Outcome],
+    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
+    http: HttpClient,
     mutations: list[Mutation],
-    pass_summary: str,
+    pass_line: str,
 ) -> CheckResult:
+    outcomes = list(notes)
     if not services:
-        return CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                           ["no token-accepting services declared"])
-    evidence = []
-    failed_component = None
+        outcomes.append(unassessable(_NO_SERVICES))
     for comp in services:
-        base = baselines.get(comp.id)
+        base = baseline(comp)
         if base is None:
-            return CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                               [f"{comp.id}: no baseline token could be minted"])
+            outcomes.append(unassessable(f"{comp.id}: no baseline token could be minted"))
+            continue
         for mutation in mutations:
-            forged = forge(base, mutation)
-            try:
-                verdict = _present(
-                    http, comp, comp.read.method, comp.read.path,
-                    forged.compact(), mutation.name,
-                )
-            except WireError as exc:
-                return CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                                   [f"{comp.id}: {exc}"])
-            evidence.append(_verdict_line(verdict))
-            if verdict.accepted:
-                failed_component = failed_component or comp.id
-    if failed_component:
-        return CheckResult(check_id, CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    evidence.append(pass_summary)
-    return CheckResult(check_id, CheckStatus.PASS, evidence)
+            outcomes.append(_presented(
+                http, comp, comp.read.method, comp.read.path,
+                forge(base, mutation).compact(), mutation.name,
+            ))
+    return fold(check_id, outcomes, pass_line)
 
 
 def _check_confusion(
     services: list[ComponentSpec],
-    baselines: dict[str, SignedToken],
+    notes: list[Outcome],
+    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
     http: HttpClient,
     keys: Optional[dict],
 ) -> CheckResult:
     if not services:
-        return CheckResult("JWT-07", CheckStatus.NOT_ASSESSABLE,
-                           ["no token-accepting services declared"])
-    public_pem = None
-    if keys is not None:
-        for entry in keys.get("keys", []):
-            if entry.get("kty") == "RSA":
-                public_pem = jwk_to_public_pem(entry)
-                break
-    if public_pem is None:
-        return CheckResult(
-            "JWT-07", CheckStatus.NOT_ASSESSABLE,
-            ["no published RSA key; confusion forgery cannot be constructed"],
-        )
+        return fold("JWT-07", notes + [unassessable(_NO_SERVICES)])
+    rsa_keys = [e for e in (keys or {}).get("keys", []) if e.get("kty") == "RSA"]
+    if not rsa_keys:
+        return fold("JWT-07", notes + [unassessable(
+            "no published RSA key; confusion forgery cannot be constructed")])
     return _check_forgeries(
-        services, baselines, http, "JWT-07",
-        [AlgConfusionHs256(public_pem)],
+        "JWT-07", services, notes, baseline, http,
+        [AlgConfusionHs256(jwk_to_public_pem(rsa_keys[0]))],
         "HMAC-with-public-key forgery rejected everywhere",
     )
 
 
 def _check_scope(
-    manifest: TargetManifest,
     services: list[ComponentSpec],
-    baselines: dict[str, SignedToken],
+    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
     http: HttpClient,
 ) -> CheckResult:
     writable = [c for c in services if c.write]
     if not writable:
-        return CheckResult("JWT-08", CheckStatus.NOT_ASSESSABLE,
-                           ["no scope-gated write action declared"])
-    evidence = []
-    failed_component = None
-    probed = 0
+        return fold("JWT-08", [unassessable("no scope-gated write action declared")])
+    outcomes = []
     for comp in writable:
-        base = baselines.get(comp.id)
+        base = baseline(comp)
         if base is None:
-            return CheckResult("JWT-08", CheckStatus.NOT_ASSESSABLE,
-                               [f"{comp.id}: no baseline token could be minted"])
+            outcomes.append(unassessable(f"{comp.id}: no baseline token could be minted"))
+            continue
         body = comp.write_body.encode("utf-8") if comp.write_body else b"{}"
         if _rejects_anonymous(
             http, comp, comp.write.method, comp.write.path, body=body
         ) is False:
-            evidence.append(
+            outcomes.append(note(
                 f"{comp.id} {comp.write.method} {comp.write.path}: accepts "
                 "anonymous requests; scope validation not exercised there"
-            )
+            ))
             continue
-        probed += 1
         probes = [
             (forge(base, AddScope(comp.write.scope)), "forged added-scope"),
             (base, "legitimately scoped read-only"),
         ]
         for token, variant in probes:
-            try:
-                verdict = _present(
-                    http, comp, comp.write.method, comp.write.path,
-                    token.compact(), variant, body=body,
-                )
-            except WireError as exc:
-                return CheckResult("JWT-08", CheckStatus.NOT_ASSESSABLE,
-                                   [f"{comp.id}: {exc}"])
-            evidence.append(_verdict_line(verdict))
-            if verdict.accepted:
-                failed_component = failed_component or comp.id
-    if failed_component:
-        return CheckResult("JWT-08", CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    if probed == 0:
-        return CheckResult("JWT-08", CheckStatus.NOT_ASSESSABLE, evidence)
-    evidence.append("write actions demand their declared scope")
-    return CheckResult("JWT-08", CheckStatus.PASS, evidence)
+            outcomes.append(_presented(
+                http, comp, comp.write.method, comp.write.path,
+                token.compact(), variant, body=body,
+            ))
+    return fold("JWT-08", outcomes, "write actions demand their declared scope")
 
 
 def _check_audience(
     services: list[ComponentSpec],
     enforcing: list[ComponentSpec],
+    notes: list[Outcome],
     http: HttpClient,
     mint: MintFn,
 ) -> CheckResult:
@@ -832,43 +724,25 @@ def _check_audience(
         if comp.audience not in audiences:
             audiences.append(comp.audience)
     if len(audiences) < 2:
-        return CheckResult(
-            "JWT-09", CheckStatus.NOT_ASSESSABLE,
-            ["fewer than two token audiences declared; cross-audience replay "
-             "cannot be constructed"],
-        )
+        return fold("JWT-09", notes + [unassessable(
+            "fewer than two token audiences declared; cross-audience replay "
+            "cannot be constructed")])
     if not enforcing:
-        return CheckResult(
-            "JWT-09", CheckStatus.NOT_ASSESSABLE,
-            ["no token-demanding action remains to present a cross-audience "
-             "token to"],
-        )
-    evidence = []
-    failed_component = None
+        return fold("JWT-09", notes + [unassessable(
+            "no token-demanding action remains to present a cross-audience "
+            "token to")])
+    outcomes = list(notes)
     for comp in enforcing:
         foreign = next(a for a in audiences if a != comp.audience)
         # Correct scope for the target, wrong audience: only the audience
         # check separates this token from a legitimate one.
         token = mint(scope=comp.read.scope, audience=foreign)
         if token is None:
-            return CheckResult("JWT-09", CheckStatus.NOT_ASSESSABLE,
-                               [f"could not mint a token for audience {foreign}"])
-        try:
-            verdict = _present(
-                http, comp, comp.read.method, comp.read.path,
-                token.compact(), f"audience={foreign}",
-            )
-        except WireError as exc:
-            return CheckResult("JWT-09", CheckStatus.NOT_ASSESSABLE,
-                               [f"{comp.id}: {exc}"])
-        evidence.append(_verdict_line(verdict))
-        if verdict.accepted:
-            failed_component = failed_component or comp.id
-    if failed_component:
-        return CheckResult("JWT-09", CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    evidence.append("tokens are rejected outside their minted audience")
-    return CheckResult("JWT-09", CheckStatus.PASS, evidence)
+            outcomes.append(unassessable(f"could not mint a token for audience {foreign}"))
+            continue
+        outcomes.append(_presented(http, comp, comp.read.method, comp.read.path,
+                                   token.compact(), f"audience={foreign}"))
+    return fold("JWT-09", outcomes, "tokens are rejected outside their minted audience")
 
 
 _COOKIE_REQUIRED_FLAGS = ("secure", "httponly", "samesite=strict")
@@ -876,41 +750,30 @@ _STORAGE_PATTERN = re.compile(r"localStorage\s*\.\s*setItem|window\.localStorage
 
 
 def _check_web_token_storage(manifest: TargetManifest, http: HttpClient) -> CheckResult:
-    web_apps = manifest.web_apps()
-    if not web_apps:
-        return CheckResult("JWT-10", CheckStatus.SKIPPED,
-                           ["no web interface declared"])
-    evidence = []
-    failed_component = None
-    for comp in web_apps:
-        endpoint = comp.primary_endpoint()
-        url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}/"
+    outcomes = []
+    for comp in manifest.web_apps():
         try:
-            resp = http.request("GET", url, source=_source_for(http, comp))
+            resp = http.request("GET", comp.primary_endpoint().url("/"),
+                                source=_source_for(http, comp))
         except WireError as exc:
-            return CheckResult("JWT-10", CheckStatus.NOT_ASSESSABLE,
-                               [f"{comp.id}: {exc}"])
+            outcomes.append(unassessable(f"{comp.id}: {exc}"))
+            continue
         for cookie in resp.header_all("Set-Cookie"):
             cookie_name = cookie.split("=", 1)[0].strip()
             lowered = cookie.lower()
             missing = [flag for flag in _COOKIE_REQUIRED_FLAGS if flag not in lowered]
             if missing:
-                evidence.append(
-                    f"{comp.id} cookie {cookie_name} missing flags: "
-                    + ", ".join(missing)
-                )
-                failed_component = failed_component or comp.id
+                outcomes.append(judged(
+                    True, f"{comp.id} cookie {cookie_name} missing flags: "
+                    + ", ".join(missing), comp.id))
             else:
-                evidence.append(
-                    f"{comp.id} cookie {cookie_name} sets Secure, HttpOnly, "
-                    "SameSite=Strict"
-                )
+                outcomes.append(judged(
+                    False, f"{comp.id} cookie {cookie_name} sets Secure, HttpOnly, "
+                    "SameSite=Strict"))
         if _STORAGE_PATTERN.search(resp.text()):
-            evidence.append(f"{comp.id} page persists values to browser localStorage")
-            failed_component = failed_component or comp.id
+            outcomes.append(judged(
+                True, f"{comp.id} page persists values to browser localStorage", comp.id))
         else:
-            evidence.append(f"{comp.id} page does not persist tokens to browser storage")
-    if failed_component:
-        return CheckResult("JWT-10", CheckStatus.FAIL, evidence,
-                           component_id=failed_component)
-    return CheckResult("JWT-10", CheckStatus.PASS, evidence)
+            outcomes.append(judged(
+                False, f"{comp.id} page does not persist tokens to browser storage"))
+    return fold("JWT-10", outcomes)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from .manifest import ComponentRole, TargetManifest, Zone, expected_zone
-from .results import CheckResult, CheckStatus
+from .results import (
+    CheckResult, CheckStatus, fold, judged, note, run_checks, unassessable, uniform,
+)
 from .wire import HttpClient, SourceUnavailable, WireError
 
 GENESIS = b"\x00" * 32
@@ -102,32 +103,24 @@ def chain_from_wire(entries: list) -> LogChain:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogAuditConfig:
-    sample_size: int = 50
-    full_scan: bool = False
+SAMPLE_SIZE = 50
 
 
 def check_logs(
     manifest: TargetManifest,
     mint,
     http: HttpClient,
-    config: LogAuditConfig = LogAuditConfig(),
+    wanted: Collection[str],
 ) -> list[CheckResult]:
-    """LOG-01..LOG-04 against the declared log repository."""
+    """The wanted checks of LOG-01..LOG-04 against the declared log
+    repository."""
     repos = manifest.by_role(ComponentRole.LOG_REPOSITORY)
     if not repos:
-        return [
-            CheckResult(check_id, CheckStatus.SKIPPED, ["no log repository declared"])
-            for check_id in ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
-        ]
+        return uniform(wanted, CheckStatus.SKIPPED, "no log repository declared")
     repo = repos[0]
     if not repo.read:
-        return [
-            CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                        [f"{repo.id}: no read action declared"])
-            for check_id in ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
-        ]
+        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
+                       f"{repo.id}: no read action declared")
 
     source = (
         "allowlisted"
@@ -140,50 +133,53 @@ def check_logs(
 
     read_token = mint(scope=repo.read.scope, audience=repo.audience)
     if read_token is None:
-        return [
-            CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                        ["could not obtain a log-read token"])
-            for check_id in ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
-        ]
+        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
+                       "could not obtain a log-read token")
     auth = {"Authorization": f"Bearer {read_token.compact()}"}
 
     try:
         resp = http.request("GET", read_url, headers=auth, source=source)
     except WireError as exc:
-        return [
-            CheckResult(check_id, CheckStatus.NOT_ASSESSABLE, [f"{repo.id}: {exc}"])
-            for check_id in ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
-        ]
+        return uniform(wanted, CheckStatus.NOT_ASSESSABLE, f"{repo.id}: {exc}")
     if resp.status != 200:
-        return [
-            CheckResult(check_id, CheckStatus.NOT_ASSESSABLE,
-                        [f"{repo.id}: record listing returned HTTP {resp.status}"])
-            for check_id in ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
-        ]
-    chain = chain_from_wire(resp.json().get("records", []))
+        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
+                       f"{repo.id}: record listing returned HTTP {resp.status}")
+    listing = _json_object(resp)
+    records = listing.get("records", []) if listing is not None else None
+    chain = chain_from_wire(records) if isinstance(records, list) else None
 
     # Read-only verdicts come from the fetched snapshot before any
     # write-probing can disturb repository state.
-    results = [
-        _check_granularity(manifest, repo, chain, config),
-        _check_chain(repo, chain, mint, http, base_url, source),
-        _check_worm(repo, mint, http, base_url, source),
-        _check_access(repo, read_url, auth, http),
-    ]
-    return sorted(results, key=lambda r: r.check_id)
+    return run_checks(wanted, [
+        ("LOG-01", lambda: _check_granularity(manifest, repo, chain)),
+        ("LOG-03", lambda: _check_chain(repo, chain, mint, http, base_url, source)),
+        ("LOG-02", lambda: _check_worm(repo, mint, http, base_url, source)),
+        ("LOG-04", lambda: _check_access(repo, read_url, auth, http)),
+    ])
 
 
-def _required_probe_fields(manifest: TargetManifest, action: str) -> dict:
-    fields = {name: "audit-probe" for name in manifest.required_log_fields}
-    fields["action"] = action
-    fields["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return fields
+def _json_object(resp) -> Optional[dict]:
+    """The response body as a JSON object; None for anything else."""
+    try:
+        doc = resp.json()
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _unreadable_listing(check_id: str, repo) -> CheckResult:
+    return CheckResult(
+        check_id, CheckStatus.NOT_ASSESSABLE,
+        [f"{repo.id}: record listing is not a JSON object with a records list"],
+    )
 
 
 def _check_granularity(
-    manifest: TargetManifest, repo, chain: LogChain, config: LogAuditConfig
+    manifest: TargetManifest, repo, chain: Optional[LogChain]
 ) -> CheckResult:
-    records = chain.records if config.full_scan else chain.records[-config.sample_size:]
+    if chain is None:
+        return _unreadable_listing("LOG-01", repo)
+    records = chain.records[-SAMPLE_SIZE:]
     if not records:
         return CheckResult("LOG-01", CheckStatus.NOT_ASSESSABLE,
                            [f"{repo.id}: repository holds no records to sample"])
@@ -191,11 +187,7 @@ def _check_granularity(
     missing: set = set()
     for record in records:
         missing |= required - set(record.fields)
-    policy = (
-        "full repository scan"
-        if config.full_scan
-        else f"sampling policy: most recent {config.sample_size} records"
-    )
+    policy = f"sampling policy: most recent {SAMPLE_SIZE} records"
     if missing:
         return CheckResult(
             "LOG-01", CheckStatus.FAIL,
@@ -212,25 +204,26 @@ def _check_granularity(
 
 
 def _check_chain(
-    repo, chain: LogChain, mint, http: HttpClient, base_url: str, source: str
+    repo, chain: Optional[LogChain], mint, http: HttpClient, base_url: str, source: str
 ) -> CheckResult:
-    evidence = []
+    if chain is None:
+        return _unreadable_listing("LOG-03", repo)
     report = verify_chain(chain)
-    if report.ok:
-        evidence.append("hash chain verifies from genesis to head: all links valid")
-    else:
-        evidence.append(
-            f"hash chain break: stored link at seq {report.first_broken_seq} "
-            "does not recompute from its predecessor"
+    if not report.ok:
+        return CheckResult(
+            "LOG-03", CheckStatus.FAIL,
+            [f"hash chain break: stored link at seq {report.first_broken_seq} "
+             "does not recompute from its predecessor"],
+            component_id=repo.id,
         )
-        return CheckResult("LOG-03", CheckStatus.FAIL, evidence, component_id=repo.id)
+    outcomes = [judged(False, "hash chain verifies from genesis to head: all links valid")]
 
     # A repository that lets writers dictate links invites silent rewrites.
     if repo.write:
         write_token = mint(scope=repo.write.scope, audience=repo.audience)
         if write_token is None:
-            evidence.append("forged-link append not probed: no write token")
-            return CheckResult("LOG-03", CheckStatus.PASS, evidence)
+            outcomes.append(unassessable("forged-link append not probed: no write token"))
+            return fold("LOG-03", outcomes)
         body = json.dumps(
             {"fields": {"action": "audit-chain-probe", "actor_id": "auditor",
                         "token_subject": "auditor", "resource": "audit",
@@ -244,16 +237,14 @@ def _check_chain(
                 source=source,
             )
         except WireError as exc:
-            evidence.append(f"forged-link append not probed: {exc}")
-            return CheckResult("LOG-03", CheckStatus.PASS, evidence)
-        if 200 <= resp.status < 300:
-            evidence.append(
-                f"append with forged chain link accepted: HTTP {resp.status}"
-            )
-            return CheckResult("LOG-03", CheckStatus.FAIL, evidence,
-                               component_id=repo.id)
-        evidence.append(f"append with forged chain link rejected: HTTP {resp.status}")
-    return CheckResult("LOG-03", CheckStatus.PASS, evidence)
+            outcomes.append(unassessable(f"forged-link append not probed: {exc}"))
+            return fold("LOG-03", outcomes)
+        accepted = 200 <= resp.status < 300
+        word = "accepted" if accepted else "rejected"
+        outcomes.append(judged(
+            accepted, f"append with forged chain link {word}: HTTP {resp.status}",
+            repo.id))
+    return fold("LOG-03", outcomes)
 
 
 def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> CheckResult:
@@ -281,61 +272,64 @@ def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> Che
             [f"sacrificial append rejected (HTTP {resp.status}); "
              "mutation probing has no safe target"],
         )
-    seq = resp.json().get("seq")
-    evidence = ["sacrificial record appended for mutation probing"]
-    record_url = f"{base_url}{repo.write.path}/{seq}"
-    failed = False
+    appended = _json_object(resp)
+    if appended is None:
+        return CheckResult(
+            "LOG-02", CheckStatus.NOT_ASSESSABLE,
+            ["sacrificial append answered with a body that is not a JSON object; "
+             "the record to mutate is unknown"],
+        )
+    outcomes = [note("sacrificial record appended for mutation probing")]
+    record_url = f"{base_url}{repo.write.path}/{appended.get('seq')}"
     for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
         try:
             attempt = http.request(method, record_url, body=body if method == "PUT" else None,
                                    headers=auth, source=source)
         except WireError as exc:
-            evidence.append(f"{label} attempt failed at transport level: {exc}")
+            outcomes.append(unassessable(f"{label} attempt failed at transport level: {exc}"))
             continue
         if 200 <= attempt.status < 300:
-            evidence.append(f"{label} of the sacrificial record accepted: "
-                            f"HTTP {attempt.status}")
-            failed = True
+            outcomes.append(judged(
+                True, f"{label} of the sacrificial record accepted: HTTP {attempt.status}",
+                repo.id))
         else:
-            evidence.append(f"{label} attempt rejected: HTTP {attempt.status}")
-    if failed:
-        return CheckResult("LOG-02", CheckStatus.FAIL, evidence, component_id=repo.id)
-    return CheckResult("LOG-02", CheckStatus.PASS, evidence)
+            outcomes.append(judged(False, f"{label} attempt rejected: HTTP {attempt.status}"))
+    return fold("LOG-02", outcomes)
 
 
 def _check_access(repo, read_url: str, auth: dict, http: HttpClient) -> CheckResult:
-    evidence = []
-    failed = False
+    # A read refused at transport level is refused access, so it passes.
+    outcomes = []
     try:
         resp = http.request(
             "GET", read_url,
             source="allowlisted" if http.allowlisted_source else "external",
         )
         if resp.status == 200:
-            evidence.append("records readable without authorization: HTTP 200")
-            failed = True
+            outcomes.append(judged(
+                True, "records readable without authorization: HTTP 200", repo.id))
         else:
-            evidence.append(f"unauthenticated read rejected: HTTP {resp.status}")
+            outcomes.append(judged(
+                False, f"unauthenticated read rejected: HTTP {resp.status}"))
     except WireError as exc:
-        evidence.append(f"unauthenticated read refused at transport level: {exc}")
+        outcomes.append(judged(
+            False, f"unauthenticated read refused at transport level: {exc}"))
 
+    unassessed = note("external-vantage separation not assessable from this host")
     if http.allowlisted_source:
         try:
             resp = http.request("GET", read_url, headers=auth, source="external")
             if resp.status == 200:
-                evidence.append("records readable from the external network vantage: "
-                                "HTTP 200")
-                failed = True
+                outcomes.append(judged(
+                    True, "records readable from the external network vantage: HTTP 200",
+                    repo.id))
             else:
-                evidence.append("external-vantage read rejected: "
-                                f"HTTP {resp.status}")
+                outcomes.append(judged(
+                    False, f"external-vantage read rejected: HTTP {resp.status}"))
         except SourceUnavailable:
-            evidence.append("external-vantage separation not assessable from this host")
+            outcomes.append(unassessed)
         except WireError:
-            evidence.append("external-vantage read refused at transport level")
+            outcomes.append(judged(False, "external-vantage read refused at transport level"))
     else:
-        evidence.append("external-vantage separation not assessable from this host")
-
-    if failed:
-        return CheckResult("LOG-04", CheckStatus.FAIL, evidence, component_id=repo.id)
-    return CheckResult("LOG-04", CheckStatus.PASS, evidence)
+        outcomes.append(unassessed)
+    return fold("LOG-04", outcomes)

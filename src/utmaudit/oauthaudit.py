@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Collection, Optional
 
 from . import jwtkit
 from .manifest import ComponentSpec, TargetManifest
-from .results import CheckResult, CheckStatus
+from .results import CheckResult, CheckStatus, fold, judged, run_checks, unassessable
 from .wire import HttpClient, WireError
 
 ENTROPY_THRESHOLD_BITS = 256
@@ -186,19 +186,21 @@ def make_mint(manifest: TargetManifest, http: HttpClient):
 # ---------------------------------------------------------------------------
 
 
-def check_oauth(manifest: TargetManifest, http: HttpClient) -> list[CheckResult]:
-    """OAUTH-01..OAUTH-06 against the declared authorization server."""
+def check_oauth(
+    manifest: TargetManifest, http: HttpClient, wanted: Collection[str]
+) -> list[CheckResult]:
+    """The wanted checks of OAUTH-01..OAUTH-06 against the declared
+    authorization server."""
     server = manifest.oauth_server()
     client = manifest.oauth_client
-    results = [
-        _check_sender_constraining(server, client, http),
-        _check_least_privilege(server, client, http),
-        _check_secret_entropy(client),
-        _check_secret_storage(manifest, server, client),
-        _check_extra_grants(manifest, server, client, http),
-        _check_csrf_state(manifest, server, client, http),
-    ]
-    return results
+    return run_checks(wanted, [
+        ("OAUTH-01", lambda: _check_sender_constraining(server, client, http)),
+        ("OAUTH-02", lambda: _check_least_privilege(server, client, http)),
+        ("OAUTH-03", lambda: _check_secret_entropy(client)),
+        ("OAUTH-04", lambda: _check_secret_storage(manifest, server, client)),
+        ("OAUTH-05", lambda: _check_extra_grants(server, client, http)),
+        ("OAUTH-06", lambda: _check_csrf_state(server, client, http)),
+    ])
 
 
 def _authorize_url(server: ComponentSpec, **params) -> str:
@@ -222,12 +224,6 @@ def _redirect_grants(resp) -> Optional[str]:
 
 
 def _check_sender_constraining(server, client, http) -> CheckResult:
-    if not client.has_certificate():
-        return CheckResult(
-            "OAUTH-01", CheckStatus.SKIPPED,
-            ["no client certificate credentials declared; "
-             "sender-constrained issuance cannot be probed"],
-        )
     req = TokenRequest(
         grant_type="client_credentials",
         client_id=client.client_id,
@@ -293,9 +289,6 @@ def _check_least_privilege(server, client, http) -> CheckResult:
 
 
 def _check_secret_entropy(client) -> CheckResult:
-    if not client.client_secret:
-        return CheckResult("OAUTH-03", CheckStatus.SKIPPED,
-                           ["no client_secret credential declared"])
     estimate = estimate_secret_strength(client.client_secret)
     summary = (
         f"estimated entropy {estimate.estimated_bits:.1f} bits "
@@ -313,9 +306,6 @@ def _check_secret_entropy(client) -> CheckResult:
 
 
 def _check_secret_storage(manifest, server, client) -> CheckResult:
-    if not client.client_secret:
-        return CheckResult("OAUTH-04", CheckStatus.SKIPPED,
-                           ["no client_secret credential declared"])
     if manifest.mode != "introspective" or not server.storage_path:
         return CheckResult(
             "OAUTH-04", CheckStatus.NOT_ASSESSABLE,
@@ -341,18 +331,9 @@ def _check_secret_storage(manifest, server, client) -> CheckResult:
     )
 
 
-def _check_extra_grants(manifest, server, client, http) -> CheckResult:
-    extra = manifest.extra_grant_types()
-    if not extra:
-        return CheckResult(
-            "OAUTH-05", CheckStatus.SKIPPED,
-            ["no authorization flows beyond client_credentials declared"],
-        )
-    evidence = []
-    failed = False
-    declared = set(client.grant_types)
-
-    if "password" not in declared:
+def _check_extra_grants(server, client, http) -> CheckResult:
+    outcomes = []
+    if "password" not in client.grant_types:
         req = TokenRequest(
             grant_type="password",
             client_id=client.client_id,
@@ -363,15 +344,16 @@ def _check_extra_grants(manifest, server, client, http) -> CheckResult:
         try:
             result = request_token(server, req, http)
         except WireError as exc:
-            return CheckResult("OAUTH-05", CheckStatus.NOT_ASSESSABLE, [str(exc)])
-        if result.ok:
-            evidence.append("undeclared password grant accepted and issued a token")
-            failed = True
+            outcomes.append(unassessable(str(exc)))
         else:
-            detail = f" (error={result.error})" if result.error else ""
-            evidence.append(
-                f"password grant rejected: HTTP {result.status}{detail}"
-            )
+            if result.ok:
+                outcomes.append(judged(
+                    True, "undeclared password grant accepted and issued a token",
+                    server.id))
+            else:
+                detail = f" (error={result.error})" if result.error else ""
+                outcomes.append(judged(
+                    False, f"password grant rejected: HTTP {result.status}{detail}"))
 
     redirect_uri = "https://auditor.invalid/callback"
     probes = [
@@ -387,25 +369,17 @@ def _check_extra_grants(manifest, server, client, http) -> CheckResult:
         try:
             resp = http.request("GET", _authorize_url(server, **params))
         except WireError as exc:
-            return CheckResult("OAUTH-05", CheckStatus.NOT_ASSESSABLE,
-                               [f"{label}: {exc}"])
-        granted = _redirect_grants(resp)
-        if granted == artifact:
-            evidence.append(f"{label} completed and granted a {artifact}")
-            failed = True
+            outcomes.append(unassessable(f"{label}: {exc}"))
+            continue
+        if _redirect_grants(resp) == artifact:
+            outcomes.append(judged(
+                True, f"{label} completed and granted a {artifact}", server.id))
         else:
-            evidence.append(f"{label} rejected: HTTP {resp.status}")
-
-    if failed:
-        return CheckResult("OAUTH-05", CheckStatus.FAIL, evidence,
-                           component_id=server.id)
-    return CheckResult("OAUTH-05", CheckStatus.PASS, evidence)
+            outcomes.append(judged(False, f"{label} rejected: HTTP {resp.status}"))
+    return fold("OAUTH-05", outcomes)
 
 
-def _check_csrf_state(manifest, server, client, http) -> CheckResult:
-    if not manifest.has_web_interface():
-        return CheckResult("OAUTH-06", CheckStatus.SKIPPED,
-                           ["no web interface declared"])
+def _check_csrf_state(server, client, http) -> CheckResult:
     params = {
         "response_type": "code",
         "client_id": client.client_id,

@@ -8,20 +8,20 @@ Two detection routes, both read-only:
   response close to the baseline while the contradictory variant diverges,
   measured with a similarity distance over status, length and word set.
 
-Time-based probing exists but is opt-in because it stalls the target.
+The corpus also holds time-based payloads; the scanner never sends them,
+because they stall the target.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import re
-import time
 import urllib.parse
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .manifest import ComponentRole, ComponentSpec, InjectTarget, TargetManifest
-from .results import CheckResult, CheckStatus
+from .results import CheckResult, CheckStatus, Outcome, fold, judged, unassessable
 from .wire import HttpClient, WireError
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.15
@@ -142,23 +142,29 @@ def response_distance(a: ResponseSummary, b: ResponseSummary) -> float:
 @dataclass(frozen=True)
 class SqliConfig:
     similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    enable_time_based: bool = False
-    time_delay_s: float = 3.0
     corpus: tuple[Payload, ...] = field(default_factory=tuple)
 
     def payloads(self) -> list[Payload]:
-        if self.corpus:
-            return list(self.corpus)
-        return load_corpus(include_time_based=self.enable_time_based)
+        return list(self.corpus) if self.corpus else load_corpus()
 
 
 @dataclass
 class TargetVerdict:
-    component_id: str
-    label: str
-    vulnerable: bool
-    evidence: list[str]
-    assessable: bool = True
+    """The probe outcomes for one injection target."""
+
+    outcomes: list[Outcome]
+
+    @property
+    def vulnerable(self) -> bool:
+        return any(o.status is CheckStatus.FAIL for o in self.outcomes)
+
+    @property
+    def assessable(self) -> bool:
+        return all(o.status is not CheckStatus.NOT_ASSESSABLE for o in self.outcomes)
+
+    @property
+    def evidence(self) -> list[str]:
+        return [o.line for o in self.outcomes]
 
 
 def _request(
@@ -200,49 +206,47 @@ def scan_inject_target(
     try:
         base_resp = _request(http, comp, target, target.baseline, token, source)
     except WireError as exc:
-        return TargetVerdict(
-            comp.id, label, vulnerable=False, assessable=False,
-            evidence=[f"{label}: baseline request failed ({exc})"],
-        )
+        return TargetVerdict([unassessable(f"{label}: baseline request failed ({exc})")])
     if base_resp.status >= 400:
-        return TargetVerdict(
-            comp.id, label, vulnerable=False, assessable=False,
-            evidence=[f"{label}: baseline request returned HTTP {base_resp.status}"],
-        )
+        return TargetVerdict([unassessable(
+            f"{label}: baseline request returned HTTP {base_resp.status}")])
     baseline = summarize_response(base_resp.status, base_resp.body)
     baseline_text = base_resp.body.decode("utf-8", errors="replace").lower()
 
-    evidence: list[str] = []
-    vulnerable = False
+    outcomes: list[Outcome] = []
+    dropped = 0
 
     def fetch(payload: Payload):
-        value = payload.rendered(target.baseline)
+        nonlocal dropped
         try:
-            return value, _request(http, comp, target, value, token, source)
+            return _request(http, comp, target, payload.rendered(target.baseline),
+                            token, source)
         except WireError:
-            return value, None
+            dropped += 1
+            return None
 
     i = 0
     while i < len(payloads):
         payload = payloads[i]
         if payload.kind == "error":
-            value, resp = fetch(payload)
+            resp = fetch(payload)
             i += 1
             if resp is None:
                 continue
             text = resp.body.decode("utf-8", errors="replace").lower()
             for signature in ERROR_SIGNATURES:
                 if signature in text and signature not in baseline_text:
-                    evidence.append(
+                    outcomes.append(judged(
+                        True,
                         f"{label}: database error signature {signature!r} "
-                        f"with payload {payload.text!r}"
-                    )
-                    vulnerable = True
+                        f"with payload {payload.text!r}",
+                        comp.id,
+                    ))
                     break
         elif payload.kind == "bool_true":
             partner = payloads[i + 1]
-            _, true_resp = fetch(payload)
-            _, false_resp = fetch(partner)
+            true_resp = fetch(payload)
+            false_resp = fetch(partner)
             i += 2
             if true_resp is None or false_resp is None:
                 continue
@@ -252,34 +256,29 @@ def scan_inject_target(
             d_false = response_distance(
                 summarize_response(false_resp.status, false_resp.body), baseline
             )
-            threshold = config.similarity_threshold
-            if d_true <= threshold < d_false:
-                evidence.append(
+            if d_true <= config.similarity_threshold < d_false:
+                outcomes.append(judged(
+                    True,
                     f"{label}: boolean differential (neutral variant distance "
                     f"{d_true:.3f}, contradictory variant distance {d_false:.3f}) "
-                    f"with payload pair {payload.text!r} / {partner.text!r}"
-                )
-                vulnerable = True
-        elif payload.kind == "time":
-            start = time.monotonic()
-            fetch(payload)
-            elapsed = time.monotonic() - start
-            i += 1
-            if elapsed >= config.time_delay_s:
-                evidence.append(
-                    f"{label}: response delayed beyond {config.time_delay_s:.0f}s "
-                    f"with payload {payload.text!r}"
-                )
-                vulnerable = True
+                    f"with payload pair {payload.text!r} / {partner.text!r}",
+                    comp.id,
+                ))
         else:
             i += 1
 
-    if not vulnerable:
-        evidence.append(
+    if dropped:
+        outcomes.append(unassessable(
+            f"{label}: {dropped} of {len(payloads)} payload requests failed "
+            "at transport level"
+        ))
+    elif not outcomes:
+        outcomes.append(judged(
+            False,
             f"{label}: no error signatures or boolean differentials across "
-            f"{len(payloads)} payloads"
-        )
-    return TargetVerdict(comp.id, label, vulnerable=vulnerable, evidence=evidence)
+            f"{len(payloads)} payloads",
+        ))
+    return TargetVerdict(outcomes)
 
 
 def check_sql_injection(
@@ -298,23 +297,15 @@ def check_sql_injection(
             "DB-02", CheckStatus.PASS, ["no injectable parameters declared"]
         )
 
-    evidence: list[str] = []
-    offender: Optional[str] = None
-    unassessable = 0
+    outcomes: list[Outcome] = []
     for comp, target in targets:
         token = None
         if mint is not None and comp.read is not None:
             minted = mint(scope=comp.read.scope, audience=comp.audience)
-            if minted is not None:
-                token = minted.compact()
+            if minted is None:
+                outcomes.append(unassessable(f"{comp.id}: no probe token could be minted"))
+                continue
+            token = minted.compact()
         verdict = scan_inject_target(comp, target, http, token=token, config=config)
-        evidence.extend(verdict.evidence)
-        if not verdict.assessable:
-            unassessable += 1
-        elif verdict.vulnerable:
-            offender = offender or comp.id
-    if offender:
-        return CheckResult("DB-02", CheckStatus.FAIL, evidence, component_id=offender)
-    if unassessable == len(targets):
-        return CheckResult("DB-02", CheckStatus.NOT_ASSESSABLE, evidence)
-    return CheckResult("DB-02", CheckStatus.PASS, evidence)
+        outcomes.extend(verdict.outcomes)
+    return fold("DB-02", outcomes)

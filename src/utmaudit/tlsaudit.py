@@ -27,7 +27,7 @@ from cryptography import x509
 from cryptography.x509.oid import NameOID
 
 from .manifest import ComponentRole, Endpoint, TargetManifest
-from .results import CheckResult, CheckStatus
+from .results import CheckResult, CheckStatus, fold, judged, unassessable
 
 REQUIRED_TLS_VERSION = "TLSv1.3"
 DEFAULT_AT_REST_MARKERS = (b"ISA_RECORD",)
@@ -261,13 +261,10 @@ def check_db_transport(
 
     cert, key = _identity_paths(manifest)
     source = manifest.allowlist_sources[0] if manifest.allowlist_sources else None
-    evidence: list[str] = []
-    offender: Optional[str] = None
-    unreachable = 0
-    probed = 0
-
+    outcomes = []
     for comp in db_nodes:
         for endpoint in comp.endpoints:
+            label = f"{comp.id} {endpoint.url()}"
             try:
                 posture = probe_tls(
                     endpoint,
@@ -278,24 +275,18 @@ def check_db_transport(
                     timeout_s=timeout_s,
                 )
             except OSError as exc:
-                evidence.append(
-                    f"{comp.id} {endpoint.url()}: unreachable from this vantage ({exc})"
-                )
-                unreachable += 1
+                outcomes.append(unassessable(
+                    f"{label}: unreachable from this vantage ({exc})"))
                 continue
-            probed += 1
-            label = f"{comp.id} {endpoint.url()}"
             if not posture.speaks_tls:
                 if posture.plaintext_banner is not None:
                     excerpt = posture.plaintext_banner[:40].decode(
                         "utf-8", errors="replace"
                     ).strip()
-                    evidence.append(f"{label}: plaintext channel (read: {excerpt!r})")
+                    line = f"{label}: plaintext channel (read: {excerpt!r})"
                 else:
-                    evidence.append(
-                        f"{label}: no TLS service ({'; '.join(posture.notes)})"
-                    )
-                offender = offender or comp.id
+                    line = f"{label}: no TLS service ({'; '.join(posture.notes)})"
+                outcomes.append(judged(True, line, comp.id))
                 continue
             problems = []
             if posture.negotiated_version != REQUIRED_TLS_VERSION:
@@ -311,23 +302,14 @@ def check_db_transport(
                     f"({posture.client_cert_demand.value})"
                 )
             if problems:
-                evidence.append(f"{label}: " + "; ".join(problems))
-                offender = offender or comp.id
+                outcomes.append(judged(True, f"{label}: " + "; ".join(problems), comp.id))
             else:
-                evidence.append(
+                outcomes.append(judged(
+                    False,
                     f"{label}: {posture.negotiated_version}, client certificate "
-                    "required, legacy offers rejected"
-                )
-
-    if probed == 0:
-        return CheckResult(
-            "DB-01",
-            CheckStatus.NOT_ASSESSABLE,
-            evidence or ["no database endpoint reachable from this vantage"],
-        )
-    if offender:
-        return CheckResult("DB-01", CheckStatus.FAIL, evidence, component_id=offender)
-    return CheckResult("DB-01", CheckStatus.PASS, evidence)
+                    "required, legacy offers rejected",
+                ))
+    return fold("DB-01", outcomes)
 
 
 def check_data_at_rest(
@@ -355,60 +337,47 @@ def check_data_at_rest(
         ]
 
     marker_names = ", ".join(m.decode("utf-8", errors="replace") for m in plaintext_markers)
-    db03_evidence: list[str] = []
-    db03_offender: Optional[str] = None
-    missing: list[str] = []
+    db03 = []
     for comp in inspectable:
         try:
-            blob = open(comp.storage_path, "rb").read()
+            with open(comp.storage_path, "rb") as fh:
+                blob = fh.read()
         except OSError:
-            missing.append(f"{comp.id}: declared storage path not readable")
+            db03.append(unassessable(f"{comp.id}: declared storage path not readable"))
             continue
         hit = next((m for m in plaintext_markers if m in blob), None)
         if hit is not None:
-            db03_evidence.append(
+            db03.append(judged(
+                True,
                 f"{comp.id}: plaintext marker "
-                f"{hit.decode('utf-8', errors='replace')!r} found in stored bytes"
-            )
-            db03_offender = db03_offender or comp.id
+                f"{hit.decode('utf-8', errors='replace')!r} found in stored bytes",
+                comp.id,
+            ))
         else:
-            db03_evidence.append(
+            db03.append(judged(
+                False,
                 f"{comp.id}: stored bytes contain no plaintext markers "
-                f"(checked: {marker_names})"
-            )
-    if not db03_evidence:
-        db03 = CheckResult("DB-03", CheckStatus.NOT_ASSESSABLE, missing)
-    elif db03_offender:
-        db03 = CheckResult(
-            "DB-03", CheckStatus.FAIL, db03_evidence + missing,
-            component_id=db03_offender,
-        )
-    else:
-        db03 = CheckResult("DB-03", CheckStatus.PASS, db03_evidence + missing)
+                f"(checked: {marker_names})",
+            ))
 
-    db04_evidence: list[str] = []
-    db04_offender: Optional[str] = None
+    db04 = []
     for comp in inspectable:
         declared = comp.declared_encryption_at_rest
         if declared is None:
-            db04_evidence.append(
-                f"{comp.id}: no at-rest encryption algorithm declared; "
-                "required AES-256"
-            )
-            db04_offender = db04_offender or comp.id
+            db04.append(judged(
+                True,
+                f"{comp.id}: no at-rest encryption algorithm declared; required AES-256",
+                comp.id,
+            ))
         elif declared.strip().casefold() != "aes-256":
-            db04_evidence.append(
-                f"{comp.id}: declared at-rest algorithm {declared}; required AES-256"
-            )
-            db04_offender = db04_offender or comp.id
+            db04.append(judged(
+                True,
+                f"{comp.id}: declared at-rest algorithm {declared}; required AES-256",
+                comp.id,
+            ))
         else:
-            db04_evidence.append(
-                f"{comp.id}: declared at-rest algorithm {declared} meets requirement"
-            )
-    if db04_offender:
-        db04 = CheckResult(
-            "DB-04", CheckStatus.FAIL, db04_evidence, component_id=db04_offender
-        )
-    else:
-        db04 = CheckResult("DB-04", CheckStatus.PASS, db04_evidence)
-    return [db03, db04]
+            db04.append(judged(
+                False,
+                f"{comp.id}: declared at-rest algorithm {declared} meets requirement",
+            ))
+    return [fold("DB-03", db03), fold("DB-04", db04)]

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -196,3 +197,50 @@ def test_testbed_down_without_state(tmp_path, capsys):
     state = tmp_path / "missing.json"
     assert cli.main(["testbed", "down", "--state", str(state)]) == 2
     assert capsys.readouterr().err.startswith("utmaudit: ")
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "closed.manifest"
+    manifest.write_text(
+        "[target]\nmode = remote\n\n"
+        "[client]\nclient_id = auditor\n"
+        "client_secret = 0123456789abcdef0123456789abcdef\n\n"
+        f"[component auth]\nrole = OAuthServer\nendpoints = https://127.0.0.1:{_closed_port()}\n\n"
+        f"[component gw]\nrole = HttpsGateway\nendpoints = https://127.0.0.1:{_closed_port()}\n"
+        "audience = gw\nread = GET /records scope=read\n\n"
+        f"[component db]\nrole = DbNode\nendpoints = tcp://127.0.0.1:{_closed_port()}\n"
+    )
+    report = tmp_path / "report.json"
+    rc = cli.main(
+        ["scan", "--manifest", str(manifest), "--checks", "DB-01,JWT-06",
+         "--format", "json", "--out", str(report)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("utmaudit: ")
+    doc = json.loads(report.read_text())
+    assert [r["status"] for r in doc["results"]] == ["NotAssessable", "NotAssessable"]
+
+
+def test_testbed_up_stops_cleanly_on_immediate_sigterm(tmp_path):
+    state = tmp_path / "state.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "utmaudit.cli", "testbed", "up", "--state", str(state)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert proc.stdout.readline().strip(), proc.stderr.read()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert not state.exists()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

@@ -254,3 +254,11 @@ def test_strip_volatile_removes_timing_only(secure_audit):
     assert [r["check_id"] for r in stripped["results"]] == [
         r["check_id"] for r in doc["results"]
     ]
+
+
+def test_duration_is_timed_per_check_and_zero_when_skipped(secure_audit):
+    report, _ = secure_audit
+    skipped = [r for r in report.results if r.status is CheckStatus.SKIPPED]
+    assert skipped
+    assert all(r.duration_ms == 0 for r in skipped)
+    assert any(r.duration_ms > 0 for r in report.results)

@@ -1,4 +1,6 @@
 import json
+import socket
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
@@ -261,3 +263,39 @@ def test_scan_repeats_identically(isa_server):
     first = scan_inject_target(comp, comp.inject, HttpClient())
     second = scan_inject_target(comp, comp.inject, HttpClient())
     assert first.evidence == second.evidence
+
+
+class _PayloadResetHandler(_IsaHandler):
+    """Answers the baseline value; resets the connection on anything else,
+    the way a WAF drops requests it classifies as attacks."""
+
+    def do_GET(self):
+        area = parse_qs(urlparse(self.path).query).get("area", [""])[0]
+        if area == "zone-a":
+            super().do_GET()
+            return
+        self.connection.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        self.close_connection = True
+
+
+def test_payloads_dropped_at_transport_are_not_assessable():
+    handler = type(
+        "Handler", (_PayloadResetHandler,), {"store": IsaStore(), "concat": True}
+    )
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        result = check_sql_injection(_manifest(server.server_address[1]), HttpClient())
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2)
+    count = len(load_corpus())
+    assert result.status is CheckStatus.NOT_ASSESSABLE
+    assert result.evidence == [
+        f"gw GET /isa param area: {count} of {count} payload requests failed "
+        "at transport level"
+    ]
