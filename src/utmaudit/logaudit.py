@@ -84,18 +84,26 @@ def verify_chain(chain: LogChain) -> VerificationReport:
 
 def chain_from_wire(entries: list) -> LogChain:
     """Parse the repository's record list; malformed entries get a link that
-    can never verify so the break lands at their seq."""
+    can never verify so the break lands at their seq (0 when the seq itself
+    is not an integer)."""
     records = []
     for entry in entries:
         try:
             seq = int(entry["seq"])
             fields = dict(entry["fields"])
             link = bytes.fromhex(entry["link"])
-        except (KeyError, TypeError, ValueError):
-            seq = int(entry.get("seq", 0)) if isinstance(entry, dict) else 0
+        except (KeyError, TypeError, ValueError, OverflowError):
+            seq = _wire_seq(entry)
             fields, link = {}, b"\xff" * 32
         records.append(LogRecord(seq=seq, fields=fields, link=link))
     return LogChain(tuple(records))
+
+
+def _wire_seq(entry) -> int:
+    try:
+        return int(entry["seq"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return 0
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,6 @@ class TargetManifest:
             if c.role in (ComponentRole.WEB_APP_PUBLIC, ComponentRole.WEB_APP_ADMIN)
         )
 
-    def has_web_interface(self) -> bool:
-        return bool(self.web_apps())
-
     def extra_grant_types(self) -> tuple[str, ...]:
         return tuple(g for g in self.oauth_client.grant_types if g != "client_credentials")
 

@@ -9,6 +9,10 @@ A probe opens one TCP connection and sends nothing. Classification:
   counts as ConnectOk;
 - no connection within the timeout counts as Timeout.
 
+A restricted endpoint that reads ConnectOk from the external vantage is
+probed once more with a longer settle window before that counts, so an
+enforcer that drops late under load is not taken for an open door.
+
 The zone verdicts are a pure function of the collected observations, so
 recorded observations replay to identical results.
 """
@@ -28,6 +32,10 @@ from .results import CheckResult, CheckStatus
 
 DEFAULT_TIMEOUT_MS = 2000
 DEFAULT_SETTLE_MS = 200
+# An external ConnectOk on a restricted endpoint is a finding only if it
+# holds for this many settle windows: an allowlist enforcer that closes
+# late under load must not read as an open door.
+CONFIRM_SETTLE_FACTOR = 5
 
 
 class ProbeSourceError(Exception):
@@ -131,39 +139,60 @@ def probe_reachability(
 # ---------------------------------------------------------------------------
 
 
+def _ids_in_zone(manifest: TargetManifest, zone: Zone) -> set[str]:
+    return {c.id for c in manifest.components if expected_zone(c.role) is zone}
+
+
 def collect_observations(
     manifest: TargetManifest,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     settle_ms: int = DEFAULT_SETTLE_MS,
 ) -> tuple[list[ReachabilityObservation], bool]:
     """Probe every endpoint from the external vantage and, where available,
-    restricted endpoints from the first allowlisted source. Returns the
-    observations plus whether the allowlisted vantage was usable."""
+    restricted endpoints from the first allowlisted source. An external
+    ConnectOk on a restricted endpoint is probed once more with
+    ``CONFIRM_SETTLE_FACTOR`` times the settle window, and the second
+    observation replaces the first. Returns the observations plus whether
+    the allowlisted vantage was usable."""
     jobs = []
     allow_source = None
     if manifest.allowlist_sources:
         allow_source = SourceBinding.allowlisted(manifest.allowlist_sources[0])
+    restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
     for comp in manifest.components:
         for endpoint in comp.endpoints:
             jobs.append((comp.id, endpoint, SourceBinding.external()))
-            if allow_source and expected_zone(comp.role) is Zone.RESTRICTED:
+            if allow_source and comp.id in restricted:
                 jobs.append((comp.id, endpoint, allow_source))
 
     allowlist_usable = allow_source is not None
     observations: list[Optional[ReachabilityObservation]] = [None] * len(jobs)
 
-    def run(index: int) -> None:
+    def run(index: int, settle: int) -> None:
         comp_id, endpoint, source = jobs[index]
         nonlocal allowlist_usable
         try:
             observations[index] = probe_reachability(
-                endpoint, source, timeout_ms, settle_ms, component_id=comp_id
+                endpoint, source, timeout_ms, settle, component_id=comp_id
             )
         except ProbeSourceError:
             allowlist_usable = False
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
-        list(pool.map(run, range(len(jobs))))
+    def run_all(indices: list[int], settle: int) -> None:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=16) as pool:
+            list(pool.map(lambda index: run(index, settle), indices))
+
+    run_all(list(range(len(jobs))), settle_ms)
+    unconfirmed = [
+        index
+        for index, obs in enumerate(observations)
+        if obs is not None
+        and obs.component_id in restricted
+        and obs.source_label == "external"
+        and obs.outcome is Outcome.CONNECT_OK
+    ]
+    if unconfirmed:
+        run_all(unconfirmed, settle_ms * CONFIRM_SETTLE_FACTOR)
     return [obs for obs in observations if obs is not None], allowlist_usable
 
 
@@ -191,12 +220,8 @@ def classify_observations(
     allowlist_usable: bool,
 ) -> list[CheckResult]:
     """Pure classifier over recorded observations (replayable)."""
-    restricted = {
-        c.id for c in manifest.components if expected_zone(c.role) is Zone.RESTRICTED
-    }
-    public = {
-        c.id for c in manifest.components if expected_zone(c.role) is Zone.PUBLIC
-    }
+    restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
+    public = _ids_in_zone(manifest, Zone.PUBLIC)
 
     net01_evidence: list[str] = []
     net01_offender: Optional[str] = None

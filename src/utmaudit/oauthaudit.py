@@ -125,16 +125,23 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
         max_retries=3,
     )
     if resp.status != 200:
-        error = None
         try:
-            error = resp.json().get("error")
+            body = resp.json()
         except ValueError:
-            pass
+            body = {}  # not JSON: no error code to report
+        error = (
+            body.get("error") if isinstance(body, dict)
+            else "error body is not a JSON object"
+        )
         return TokenResponse(ok=False, status=resp.status, error=error,
                              client_cert_presented=req.present_client_cert)
     try:
         body = resp.json()
+        if not isinstance(body, dict):
+            raise ValueError("body is not a JSON object")
         compact = body["access_token"]
+        if not isinstance(compact, str):
+            raise ValueError("access_token is not a string")
         token = jwtkit.decode(compact)
     except (ValueError, KeyError, jwtkit.TokenError) as exc:
         return TokenResponse(ok=False, status=resp.status,

@@ -5,7 +5,7 @@ secure profile implements each control correctly, and each named toggle
 disables exactly one control so that exactly one check flips to Fail.
 """
 
-_HARNESS_NAMES = {"Testbed", "start_testbed", "stop_testbed"}
+_HARNESS_NAMES = {"Testbed", "start_testbed"}
 _TOGGLE_NAMES = {"PROFILES", "TOGGLES", "toggles_for_profile"}
 
 __all__ = sorted(_HARNESS_NAMES | _TOGGLE_NAMES)

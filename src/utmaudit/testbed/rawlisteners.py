@@ -2,8 +2,8 @@
 
 These are not HTTP services. Each accepted connection gets a one-line
 banner and is then drained until the peer closes. The allowlist decision
-happens before any TLS handshake, so an unwanted peer sees an immediate
-close instead of a protocol error.
+happens in the accept loop, before any worker thread or TLS handshake, so
+an unwanted peer sees an immediate close instead of a protocol error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from typing import Callable, Optional
 from .certs import CertPaths
 
 _DRAIN_TIMEOUT_S = 5.0
+# How often the accept loop looks for a stop request; bounds stop().
+ACCEPT_TIMEOUT_S = 0.05
 
 
 class RawListener:
@@ -54,7 +56,7 @@ class RawListener:
         self._thread.join(timeout=3)
 
     def _accept_loop(self) -> None:
-        self._sock.settimeout(0.2)
+        self._sock.settimeout(ACCEPT_TIMEOUT_S)
         while not self._stop.is_set():
             try:
                 conn, addr = self._sock.accept()
@@ -62,15 +64,16 @@ class RawListener:
                 continue
             except OSError:
                 return
+            if self._allowlist is not None and addr[0] not in self._allowlist:
+                conn.close()  # close without a byte: policy drop
+                continue
             worker = threading.Thread(
-                target=self._serve, args=(conn, addr), daemon=True
+                target=self._serve, args=(conn,), daemon=True
             )
             worker.start()
 
-    def _serve(self, conn: socket.socket, addr) -> None:
+    def _serve(self, conn: socket.socket) -> None:
         try:
-            if self._allowlist is not None and addr[0] not in self._allowlist:
-                return  # close without a byte: policy drop
             if self._tls_context is not None:
                 try:
                     conn = self._tls_context.wrap_socket(conn, server_side=True)

@@ -42,18 +42,17 @@ def _uint_b64(value: int) -> str:
     return _b64e(value.to_bytes(length, "big"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SigningKeys:
+    """The issuer's key material, parsed once in ``make_signing_keys``
+    rather than on every issuance, validation and JWKS render."""
+
     private_pem: bytes
     public_pem: bytes
     kid: str
+    private_key: rsa.RSAPrivateKey
+    public_key: rsa.RSAPublicKey
     hs256_secret: bytes = field(default_factory=lambda: secrets.token_bytes(32))
-
-    def private_key(self):
-        return serialization.load_pem_private_key(self.private_pem, password=None)
-
-    def public_key(self):
-        return serialization.load_pem_public_key(self.public_pem)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def issue(
     if policy.algorithm == "HS256":
         sig = hmac.new(keys.hs256_secret, signing_input.encode(), hashlib.sha256).digest()
     else:
-        sig = keys.private_key().sign(
+        sig = keys.private_key.sign(
             signing_input.encode(), padding.PKCS1v15(), hashes.SHA256()
         )
     return signing_input + "." + _b64e(sig)
@@ -121,7 +120,7 @@ def issue(
 
 def _verify_rs256(keys: SigningKeys, signing_input: bytes, sig: bytes) -> bool:
     try:
-        keys.public_key().verify(
+        keys.public_key.verify(
             sig, signing_input, padding.PKCS1v15(), hashes.SHA256()
         )
         return True
@@ -203,8 +202,7 @@ def validate(
 
 
 def jwks_document(keys: SigningKeys, *, include_private_fields: bool = False) -> dict:
-    private = keys.private_key()
-    numbers = private.private_numbers()
+    numbers = keys.private_key.private_numbers()
     pub = numbers.public_numbers
     jwk = {
         "kty": "RSA",
@@ -229,21 +227,16 @@ def jwks_document(keys: SigningKeys, *, include_private_fields: bool = False) ->
 
 
 def make_signing_keys(private_pem: bytes, public_pem: bytes, kid: str) -> SigningKeys:
-    return SigningKeys(private_pem=private_pem, public_pem=public_pem, kid=kid)
-
-
-def generate_signing_keys() -> SigningKeys:
-    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
-    private_pem = key.private_bytes(
-        serialization.Encoding.PEM,
-        serialization.PrivateFormat.TraditionalOpenSSL,
-        serialization.NoEncryption(),
+    # The PEM is the key certs.make_bundle has just generated in this
+    # process. Re-validating it (a primality check) would add ~70 ms to
+    # every testbed start.
+    private_key = serialization.load_pem_private_key(
+        private_pem, password=None, unsafe_skip_rsa_key_validation=True
     )
-    public_pem = key.public_key().public_bytes(
-        serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
+    return SigningKeys(
+        private_pem=private_pem,
+        public_pem=public_pem,
+        kid=kid,
+        private_key=private_key,
+        public_key=serialization.load_pem_public_key(public_pem),
     )
-    der = key.public_key().public_bytes(
-        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
-    )
-    kid = hashlib.sha256(der).hexdigest()[:16]
-    return SigningKeys(private_pem=private_pem, public_pem=public_pem, kid=kid)

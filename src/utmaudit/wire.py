@@ -64,14 +64,12 @@ class HttpClient:
         client_cert: Optional[str] = None,
         client_key: Optional[str] = None,
         allowlisted_source: Optional[str] = None,
-        external_source: Optional[str] = None,
         timeout_s: float = DEFAULT_TIMEOUT_S,
     ):
         self.ca_path = ca_path
         self.client_cert = client_cert
         self.client_key = client_key
         self.allowlisted_source = allowlisted_source
-        self.external_source = external_source
         self.timeout_s = timeout_s
         self._contexts: dict[tuple[bool, bool], ssl.SSLContext] = {}
 
@@ -96,7 +94,7 @@ class HttpClient:
 
     def _source_address(self, source: str) -> Optional[tuple[str, int]]:
         if source == "external":
-            return (self.external_source, 0) if self.external_source else None
+            return None  # the host's default source address
         if source == "allowlisted":
             if not self.allowlisted_source:
                 raise SourceUnavailable("no allowlisted source address configured")

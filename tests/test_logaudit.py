@@ -99,6 +99,18 @@ def test_chain_from_wire_malformed_entry_breaks_at_its_seq():
     assert report.first_broken_seq == 2
 
 
+def test_chain_from_wire_non_integer_seq_gets_seq_0_and_never_verifies():
+    chain = build_chain([{"n": "0"}, {"n": "1"}, {"n": "2"}])
+    entries = [
+        {"seq": r.seq, "fields": r.fields, "link": r.link.hex()} for r in chain.records
+    ]
+    entries[1] = dict(entries[1], seq="two")
+    parsed = chain_from_wire(entries)
+    assert [r.seq for r in parsed.records] == [1, 0, 3]
+    assert parsed.records[1].link == b"\xff" * 32
+    assert verify_chain(parsed).first_broken_seq == 0
+
+
 # Detection completeness: any single mutated record is detected at exactly
 # its own position. The bulk quantified run lives in the acceptance suite;
 # this is the generator-driven variant.

@@ -9,6 +9,7 @@ from utmaudit.netprobe import (
     Outcome,
     ReachabilityObservation,
     SourceBinding,
+    check_zones,
     classify_observations,
     probe_reachability,
 )
@@ -65,6 +66,14 @@ def _drop_immediately(conn, received):
 def _send_banner(conn, received):
     conn.sendall(b"ready\n")
     time.sleep(0.05)
+
+
+def _hold_until_peer_closes(conn, received):
+    conn.settimeout(5)
+    try:
+        received.append(conn.recv(64))
+    except socket.timeout:
+        received.append(b"")
 
 
 def _probe(port, **kw):
@@ -148,6 +157,69 @@ def test_probe_sends_no_bytes():
         assert listener.received == [b""]
     finally:
         listener.close()
+
+
+# ---------------------------------------------------------------------------
+# Confirming an external ConnectOk on a restricted endpoint
+# ---------------------------------------------------------------------------
+
+_SETTLE_MS = 100
+
+
+def _closed_port():
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    port = sock.getsockname()[1]
+    sock.close()
+    return port
+
+
+def _kms_zones(listener):
+    manifest = parse_manifest(f"""\
+[target]
+mode = remote
+
+[client]
+client_id = auditor
+client_secret = 0123456789abcdef0123456789abcdef0123456789abcdef
+
+[component auth]
+role = OAuthServer
+endpoints = https://127.0.0.1:{_closed_port()}
+
+[component kms]
+role = KeyManagement
+endpoints = tcp://127.0.0.1:{listener.port}
+""".encode())
+    net01, _ = check_zones(manifest, settle_ms=_SETTLE_MS)
+    kms_line = f"kms tcp://127.0.0.1:{listener.port} from external"
+    return net01, [line for line in net01.evidence if line.startswith(kms_line)]
+
+
+def test_restricted_endpoint_that_closes_late_is_judged_refused():
+    # the first probe's settle window ends before the close; the confirming
+    # probe, five windows long, sees it
+    def close_late(conn, received):
+        time.sleep(2 * _SETTLE_MS / 1000)
+
+    listener = _Listener(close_late)
+    try:
+        net01, lines = _kms_zones(listener)
+    finally:
+        listener.close()
+    assert net01.status is CheckStatus.PASS
+    assert len(lines) == 1 and lines[0].endswith(": refused")
+
+
+def test_restricted_endpoint_that_stays_open_is_judged_reachable():
+    listener = _Listener(_hold_until_peer_closes)
+    try:
+        net01, lines = _kms_zones(listener)
+    finally:
+        listener.close()
+    assert net01.status is CheckStatus.FAIL and net01.component_id == "kms"
+    assert len(lines) == 1 and lines[0].endswith(": reachable")
+    assert len(listener.received) == 2  # the first probe and its confirmation
 
 
 # ---------------------------------------------------------------------------

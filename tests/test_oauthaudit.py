@@ -11,7 +11,7 @@ from utmaudit.oauthaudit import (
     estimate_secret_strength,
     request_token,
 )
-from utmaudit.wire import HttpClient
+from utmaudit.wire import HttpClient, HttpResponse
 
 # Hand-computed closed-form cases: bits = length * log2(charset).
 CASES = [
@@ -70,3 +70,40 @@ def test_secret_never_sent_over_plaintext():
     )
     with pytest.raises(AuditorError, match="refusing to send client_secret"):
         request_token(server, req, HttpClient())
+
+
+class _StubHttp(HttpClient):
+    """Answers every request with one fixed status and body."""
+
+    def __init__(self, status, body):
+        super().__init__()
+        self.response = HttpResponse(status, [], body)
+
+    def request(self, *args, **kwargs):
+        return self.response
+
+
+def _token_from(status, body):
+    server = ComponentSpec(
+        id="auth",
+        role=ComponentRole.OAUTH_SERVER,
+        endpoints=(Endpoint("127.0.0.1", 443, "https"),),
+        token_path="/token",
+    )
+    req = TokenRequest(grant_type="client_credentials", client_id="c")
+    return request_token(server, req, _StubHttp(status, body))
+
+
+@pytest.mark.parametrize("body", [b"[]", b"null"])
+def test_success_body_that_is_not_an_object_is_a_failed_issuance(body):
+    result = _token_from(200, body)
+    assert not result.ok and result.token is None
+    assert result.error == (
+        "success body without parseable token: body is not a JSON object"
+    )
+
+
+def test_error_body_that_is_a_list_is_a_failed_issuance():
+    result = _token_from(400, b'["invalid_client"]')
+    assert not result.ok and result.status == 400
+    assert result.error == "error body is not a JSON object"

@@ -1,9 +1,14 @@
 import json
+import socket
+import threading
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
 
 from utmaudit.manifest import ComponentRole
-from utmaudit.testbed.harness import start_testbed
+from utmaudit.testbed import tokens
+from utmaudit.testbed.harness import PORT_SPAN, start_testbed
 from utmaudit.testbed.toggles import (
     PROFILES,
     TOGGLES,
@@ -270,3 +275,46 @@ def test_worm_probes_on_secure(secure):
         "DELETE", f"{base}/records/{seq}", headers=auth, source="allowlisted"
     )
     assert erase.status == 405
+
+
+def test_signing_key_is_parsed_once(monkeypatch):
+    key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
+    private_pem = key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.TraditionalOpenSSL,
+        serialization.NoEncryption(),
+    )
+    public_pem = key.public_key().public_bytes(
+        serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    parses = []
+    real_load = serialization.load_pem_private_key
+
+    def counting_load(*args, **kwargs):
+        parses.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(serialization, "load_pem_private_key", counting_load)
+    keys = tokens.make_signing_keys(private_pem, public_pem, "kid-1")
+    policy = tokens.IssuerPolicy()
+    issued = [
+        tokens.issue(keys, policy, subject="s", scope="utm.read", audience="gateway")
+        for _ in range(3)
+    ]
+    document = tokens.jwks_document(keys)
+    assert len(parses) == 1
+    assert document["keys"][0]["kid"] == "kid-1"
+    validator = tokens.ValidatorPolicy(expected_audience="gateway")
+    for compact in issued:
+        assert tokens.validate(keys, validator, compact, required_scope="utm.read").ok
+
+
+def test_stop_closes_every_port_and_ends_every_thread():
+    before = set(threading.enumerate())
+    tb = start_testbed()
+    tb.stop()
+    for offset in range(PORT_SPAN):
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", tb.port(offset)), timeout=2)
+    left = [t for t in set(threading.enumerate()) - before if t.is_alive()]
+    assert left == []
