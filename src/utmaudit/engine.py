@@ -18,7 +18,9 @@ from typing import Callable, Iterable, Optional
 
 from . import __version__
 from . import jwtkit, logaudit, netprobe, oauthaudit, sqliprobe, tlsaudit
-from .manifest import TargetManifest, manifest_digest
+from .manifest import (
+    ComponentRole, TargetManifest, Zone, expected_zone, manifest_digest,
+)
 from .oauthaudit import make_mint
 from .results import (
     AREA_ORDER, CheckResult, CheckStatus, Finding, Severity, aborted, check_sort_key,
@@ -250,21 +252,39 @@ _AREA_IDS: dict[str, tuple[str, ...]] = {
     for area in AREA_ORDER
 }
 
-# conditional entries and the manifest predicate that activates them
-_WEB_CONDITIONAL = ("OAUTH-06", "JWT-10", "WEB-01")
-_SECRET_CONDITIONAL = ("OAUTH-03", "OAUTH-04")
-_CERT_CONDITIONAL = ("OAUTH-01",)
-_GRANT_CONDITIONAL = ("OAUTH-05",)
+# The applicability rules: (check ids, precondition, reason). A check is
+# Skipped when a precondition of a rule naming it does not hold, and the
+# first such rule gives the reason. Nothing else decides Skipped.
+_RULES: tuple[tuple[tuple[str, ...], Callable[[TargetManifest], object], str], ...] = (
+    (("OAUTH-01",), lambda m: m.oauth_client.has_certificate(),
+     "no client certificate credentials declared"),
+    (("OAUTH-03", "OAUTH-04"), lambda m: m.oauth_client.client_secret,
+     "no client_secret credential in use"),
+    (("OAUTH-05",), TargetManifest.extra_grant_types,
+     "no grant types beyond client_credentials declared"),
+    (("OAUTH-06", "JWT-10", "WEB-01"), TargetManifest.web_apps,
+     "no web interface declared"),
+    (("NET-01",), lambda m: any(
+        c.endpoints for c in m.components if expected_zone(c.role) is Zone.RESTRICTED
+     ), "no restricted endpoints declared"),
+    (("DB-01", "DB-03", "DB-04"), lambda m: m.by_role(ComponentRole.DB_NODE),
+     "no database nodes declared"),
+    (("DB-02",), lambda m: m.by_role(ComponentRole.HTTPS_GATEWAY),
+     "no HTTPS gateway declared"),
+    (("DB-02",), lambda m: any(c.inject for c in m.by_role(ComponentRole.HTTPS_GATEWAY)),
+     "no injectable parameters declared"),
+    (_AREA_IDS["JWT"], jwtkit.token_services, "no token-accepting services declared"),
+    (_AREA_IDS["LOG"], lambda m: m.by_role(ComponentRole.LOG_REPOSITORY),
+     "no log repository declared"),
+)
 
-_SKIP_REASONS = {
-    "OAUTH-01": "no client certificate credentials declared",
-    "OAUTH-03": "no client_secret credential in use",
-    "OAUTH-04": "no client_secret credential in use",
-    "OAUTH-05": "no grant types beyond client_credentials declared",
-    "OAUTH-06": "no web interface declared",
-    "JWT-10": "no web interface declared",
-    "WEB-01": "no web interface declared",
-}
+
+def _skip_reason(manifest: TargetManifest, check_id: str) -> Optional[str]:
+    """Why the check does not apply to this target; None when it does."""
+    for ids, precondition, reason in _RULES:
+        if check_id in ids and not precondition(manifest):
+            return reason
+    return None
 
 
 def registry() -> tuple[CheckDefinition, ...]:
@@ -278,29 +298,9 @@ def definition(check_id: str) -> CheckDefinition:
         raise UnknownCheckError(f"unknown check id: {check_id}") from None
 
 
-def _extra_grants(manifest: TargetManifest) -> bool:
-    declared = set(manifest.oauth_client.grant_types)
-    return bool(declared - {"client_credentials"})
-
-
 def applicable_checks(manifest: TargetManifest) -> list[str]:
-    """Registry ids whose trigger condition holds, in catalog order.
-
-    Unconditional checks are always applicable. The conditional entries
-    follow the manifest: web-interface checks need a declared web app,
-    secret checks need a client_secret, OAUTH-01 needs certificate
-    credentials, OAUTH-05 needs a grant type beyond client_credentials.
-    """
-    inactive: set[str] = set()
-    if not manifest.web_apps():
-        inactive.update(_WEB_CONDITIONAL)
-    if not manifest.oauth_client.client_secret:
-        inactive.update(_SECRET_CONDITIONAL)
-    if not manifest.oauth_client.has_certificate():
-        inactive.update(_CERT_CONDITIONAL)
-    if not _extra_grants(manifest):
-        inactive.update(_GRANT_CONDITIONAL)
-    return [d.check_id for d in REGISTRY if d.check_id not in inactive]
+    """Registry ids that no rule of ``_RULES`` skips, in catalog order."""
+    return [d.check_id for d in REGISTRY if _skip_reason(manifest, d.check_id) is None]
 
 
 @dataclass
@@ -347,23 +347,12 @@ def _run_web_area(manifest: TargetManifest) -> list[CheckResult]:
 
 
 def _run_jwt_area(manifest, http, mint, wanted) -> list[CheckResult]:
-    services = jwtkit.token_services(manifest)
-    if not services:
-        return uniform(wanted, CheckStatus.SKIPPED,
-                       "no token-accepting services declared")
-    anchor = services[0]
+    anchor = jwtkit.token_services(manifest)[0]
     live = mint(scope=anchor.read.scope, audience=anchor.audience)
     if live is None:
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
                        "authorization server did not issue a probe token")
     return jwtkit.run_jwt_battery(manifest, live, http=http, mint=mint, wanted=wanted)
-
-
-def _result_skipped(check_id: str) -> CheckResult:
-    return CheckResult(
-        check_id, CheckStatus.SKIPPED,
-        [_SKIP_REASONS.get(check_id, "not applicable to this target")],
-    )
 
 
 def run_audit(
@@ -375,12 +364,12 @@ def run_audit(
     """Execute the applicable registry checks and assemble a report.
 
     Areas fan out to worker threads; within one area checks run serially so
-    evidence trails stay readable. Only this function decides applicability:
+    evidence trails stay readable. Applicability comes from ``_RULES`` alone:
     each area runs just its selected, applicable checks, and everything else
-    selected is reported Skipped. A check that raises comes back
-    NotAssessable on its own; a failure in an area's shared set-up does the
-    same for that area's checks. With a selection only the named checks
-    appear in the report.
+    selected is reported Skipped with its rule's reason. A check that raises
+    comes back NotAssessable on its own; a failure in an area's shared
+    set-up does the same for that area's checks. With a selection only the
+    named checks appear in the report.
     """
     if selection is not None:
         unknown = set(selection) - set(_BY_ID)
@@ -391,9 +380,9 @@ def run_audit(
 
     started = time.monotonic()
     wanted = set(_BY_ID) if selection is None else set(selection)
-    applicable = set(applicable_checks(manifest))
+    reasons = {d.check_id: _skip_reason(manifest, d.check_id) for d in REGISTRY}
     active = {
-        area: [i for i in ids if i in wanted and i in applicable]
+        area: [i for i in ids if i in wanted and reasons[i] is None]
         for area, ids in _AREA_IDS.items()
     }
 
@@ -407,6 +396,16 @@ def run_audit(
     )
     mint = make_mint(manifest, http)
 
+    def run_net() -> list[CheckResult]:
+        # NET-01 and NET-02 judge the same reachability sweep; run it once.
+        sweep = functools.cache(
+            lambda: netprobe.check_zones(manifest, timeout_ms=probe_timeout_ms)
+        )
+        return run_checks(active["NET"], [
+            ("NET-01", lambda: sweep()[0]),
+            ("NET-02", lambda: sweep()[1]),
+        ])
+
     def run_db() -> list[CheckResult]:
         # DB-03 and DB-04 judge the same stored bytes; read them once.
         at_rest = functools.cache(lambda: tlsaudit.check_data_at_rest(manifest))
@@ -418,7 +417,7 @@ def run_audit(
         ])
 
     workers: dict[str, Callable[[], list[CheckResult]]] = {
-        "NET": lambda: netprobe.check_zones(manifest, timeout_ms=probe_timeout_ms),
+        "NET": run_net,
         "DB": run_db,
         "OAUTH": lambda: oauthaudit.check_oauth(manifest, http, active["OAUTH"]),
         "JWT": lambda: _run_jwt_area(manifest, http, mint, active["JWT"]),
@@ -445,8 +444,10 @@ def run_audit(
     for d in REGISTRY:
         if d.check_id not in wanted:
             continue
-        if d.check_id not in applicable:
-            results.append(_result_skipped(d.check_id))
+        if reasons[d.check_id] is not None:
+            results.append(
+                CheckResult(d.check_id, CheckStatus.SKIPPED, [reasons[d.check_id]])
+            )
             continue
         result = collected.get(d.check_id)
         if result is None:

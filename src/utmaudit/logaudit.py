@@ -122,10 +122,7 @@ def check_logs(
 ) -> list[CheckResult]:
     """The wanted checks of LOG-01..LOG-04 against the declared log
     repository."""
-    repos = manifest.by_role(ComponentRole.LOG_REPOSITORY)
-    if not repos:
-        return uniform(wanted, CheckStatus.SKIPPED, "no log repository declared")
-    repo = repos[0]
+    repo = manifest.by_role(ComponentRole.LOG_REPOSITORY)[0]
     if not repo.read:
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
                        f"{repo.id}: no read action declared")

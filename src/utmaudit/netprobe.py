@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .manifest import Endpoint, TargetManifest, Zone, expected_zone
-from .results import CheckResult, CheckStatus
+from .results import CheckResult, fold, judged, note
 
 DEFAULT_TIMEOUT_MS = 2000
 DEFAULT_SETTLE_MS = 200
@@ -219,60 +219,36 @@ def classify_observations(
     observations: list[ReachabilityObservation],
     allowlist_usable: bool,
 ) -> list[CheckResult]:
-    """Pure classifier over recorded observations (replayable)."""
+    """Pure classifier over recorded observations (replayable). An external
+    ConnectOk on a restricted endpoint fails NET-01; any other external
+    outcome on a public endpoint fails NET-02. Allowlisted-vantage
+    observations are notes: over-restriction is not a finding."""
     restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
     public = _ids_in_zone(manifest, Zone.PUBLIC)
-
-    net01_evidence: list[str] = []
-    net01_offender: Optional[str] = None
-    net02_evidence: list[str] = []
-    net02_offender: Optional[str] = None
+    net01, net02 = [], []
 
     for obs in observations:
         line = (
             f"{obs.component_id} {obs.endpoint.url()} from {obs.source_label}: "
             f"{_OUTCOME_WORD[obs.outcome]}"
         )
+        reachable = obs.outcome is Outcome.CONNECT_OK
+        external = obs.source_label == "external"
         if obs.component_id in restricted:
-            net01_evidence.append(line)
-            if obs.source_label == "external" and obs.outcome is Outcome.CONNECT_OK:
-                net01_offender = net01_offender or obs.component_id
-            if (
-                obs.source_label.startswith("allowlisted:")
-                and obs.outcome is not Outcome.CONNECT_OK
-            ):
-                net01_evidence.append(
+            if external:
+                net01.append(judged(reachable, line, obs.component_id))
+                continue
+            net01.append(note(line))
+            if not reachable:
+                net01.append(note(
                     f"warning: {obs.component_id} unreachable from the allowlisted "
                     "source (over-restriction, not a finding)"
-                )
-        elif obs.component_id in public and obs.source_label == "external":
-            net02_evidence.append(line)
-            if obs.outcome is not Outcome.CONNECT_OK:
-                net02_offender = net02_offender or obs.component_id
+                ))
+        elif obs.component_id in public and external:
+            net02.append(judged(not reachable, line, obs.component_id))
 
-    if not restricted:
-        net01 = CheckResult(
-            "NET-01", CheckStatus.PASS, ["no restricted components declared"]
-        )
-    else:
-        if not allowlist_usable:
-            net01_evidence.append(
-                "allowlisted-source verification not assessable from this vantage"
-            )
-        if net01_offender:
-            net01 = CheckResult("NET-01", CheckStatus.FAIL, net01_evidence,
-                                component_id=net01_offender)
-        else:
-            net01 = CheckResult("NET-01", CheckStatus.PASS, net01_evidence)
-
-    if not public:
-        net02 = CheckResult(
-            "NET-02", CheckStatus.PASS, ["no public components declared"]
-        )
-    elif net02_offender:
-        net02 = CheckResult("NET-02", CheckStatus.FAIL, net02_evidence,
-                            component_id=net02_offender)
-    else:
-        net02 = CheckResult("NET-02", CheckStatus.PASS, net02_evidence)
-
-    return [net01, net02]
+    if not allowlist_usable:
+        net01.append(note(
+            "allowlisted-source verification not assessable from this vantage"
+        ))
+    return [fold("NET-01", net01), fold("NET-02", net02)]

@@ -17,14 +17,14 @@ from __future__ import annotations
 import importlib.resources
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .manifest import ComponentRole, ComponentSpec, InjectTarget, TargetManifest
 from .results import CheckResult, CheckStatus, Outcome, fold, judged, unassessable
 from .wire import HttpClient, WireError
 
-DEFAULT_SIMILARITY_THRESHOLD = 0.15
+SIMILARITY_THRESHOLD = 0.15
 
 ERROR_SIGNATURES = (
     "sql syntax",
@@ -139,15 +139,6 @@ def response_distance(a: ResponseSummary, b: ResponseSummary) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SqliConfig:
-    similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD
-    corpus: tuple[Payload, ...] = field(default_factory=tuple)
-
-    def payloads(self) -> list[Payload]:
-        return list(self.corpus) if self.corpus else load_corpus()
-
-
 @dataclass
 class TargetVerdict:
     """The probe outcomes for one injection target."""
@@ -199,10 +190,9 @@ def scan_inject_target(
     *,
     token: Optional[str] = None,
     source: str = "external",
-    config: SqliConfig = SqliConfig(),
 ) -> TargetVerdict:
     label = f"{comp.id} {target.method.upper()} {target.path} param {target.param}"
-    payloads = config.payloads()
+    payloads = load_corpus()
     try:
         base_resp = _request(http, comp, target, target.baseline, token, source)
     except WireError as exc:
@@ -256,7 +246,7 @@ def scan_inject_target(
             d_false = response_distance(
                 summarize_response(false_resp.status, false_resp.body), baseline
             )
-            if d_true <= config.similarity_threshold < d_false:
+            if d_true <= SIMILARITY_THRESHOLD < d_false:
                 outcomes.append(judged(
                     True,
                     f"{label}: boolean differential (neutral variant distance "
@@ -286,19 +276,11 @@ def check_sql_injection(
     http: HttpClient,
     *,
     mint=None,
-    config: SqliConfig = SqliConfig(),
 ) -> CheckResult:
-    gateways = manifest.by_role(ComponentRole.HTTPS_GATEWAY)
-    if not gateways:
-        return CheckResult("DB-02", CheckStatus.SKIPPED, ["no HTTPS gateway declared"])
-    targets = [(c, c.inject) for c in gateways if c.inject is not None]
-    if not targets:
-        return CheckResult(
-            "DB-02", CheckStatus.PASS, ["no injectable parameters declared"]
-        )
-
     outcomes: list[Outcome] = []
-    for comp, target in targets:
+    for comp in manifest.by_role(ComponentRole.HTTPS_GATEWAY):
+        if comp.inject is None:
+            continue
         token = None
         if mint is not None and comp.read is not None:
             minted = mint(scope=comp.read.scope, audience=comp.audience)
@@ -306,6 +288,6 @@ def check_sql_injection(
                 outcomes.append(unassessable(f"{comp.id}: no probe token could be minted"))
                 continue
             token = minted.compact()
-        verdict = scan_inject_target(comp, target, http, token=token, config=config)
+        verdict = scan_inject_target(comp, comp.inject, http, token=token)
         outcomes.extend(verdict.outcomes)
     return fold("DB-02", outcomes)

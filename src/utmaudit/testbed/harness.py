@@ -16,6 +16,7 @@ import random
 import secrets
 import shutil
 import socket
+import string
 import tempfile
 import threading
 import time
@@ -127,8 +128,18 @@ def _stop_http(server: TestbedHttpServer) -> None:
         pass
 
 
+_URLSAFE_CLASSES = (
+    string.ascii_lowercase, string.ascii_uppercase, string.digits, "-_",
+)
+
+
 def _strong_secret() -> str:
-    return secrets.token_urlsafe(48)
+    """64 URL-safe characters that use every class of the alphabet, so a
+    charset estimate from the characters seen always finds 64 symbols."""
+    while True:
+        secret = secrets.token_urlsafe(48)
+        if all(set(secret) & set(chars) for chars in _URLSAFE_CLASSES):
+            return secret
 
 
 def _weak_secret() -> str:

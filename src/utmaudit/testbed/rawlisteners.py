@@ -53,7 +53,8 @@ class RawListener:
             self._sock.close()
         except OSError:
             pass
-        self._thread.join(timeout=3)
+        if self._thread.ident is not None:  # never started: nothing to join
+            self._thread.join(timeout=3)
 
     def _accept_loop(self) -> None:
         self._sock.settimeout(ACCEPT_TIMEOUT_S)

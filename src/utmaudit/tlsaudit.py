@@ -2,8 +2,8 @@
 
 A posture probe performs up to three handshakes against one endpoint:
 
-1. with the auditor's client certificate, to learn the negotiated version,
-   cipher, and server identity;
+1. with the auditor's client certificate, to learn the negotiated version
+   and server identity;
 2. without any client certificate, to learn whether the server tolerates
    anonymous peers (under TLS 1.3 the certificate_required alert only
    arrives on the first read after the handshake, so the probe must read);
@@ -30,7 +30,7 @@ from .manifest import ComponentRole, Endpoint, TargetManifest
 from .results import CheckResult, CheckStatus, fold, judged, unassessable
 
 REQUIRED_TLS_VERSION = "TLSv1.3"
-DEFAULT_AT_REST_MARKERS = (b"ISA_RECORD",)
+AT_REST_MARKERS = (b"ISA_RECORD",)
 
 
 class ClientCertDemand(enum.Enum):
@@ -44,7 +44,6 @@ class TlsPosture:
     endpoint: Endpoint
     speaks_tls: bool
     negotiated_version: Optional[str] = None
-    cipher_name: Optional[str] = None
     client_cert_demand: Optional[ClientCertDemand] = None
     accepts_legacy_offer: Optional[bool] = None
     server_cert_subject: Optional[str] = None
@@ -81,8 +80,8 @@ def _handshake(
     source_address: Optional[str],
     timeout_s: float,
     banner_wait_s: float,
-) -> tuple[str, str, Optional[bytes], Optional[bytes]]:
-    """Returns (version, cipher, peer_cert_der, banner). Raises
+) -> tuple[str, Optional[bytes], Optional[bytes]]:
+    """Returns (version, peer_cert_der, banner). Raises
     _HandshakeRejected when the server refuses the offered parameters,
     including post-handshake rejection surfaced on first read."""
     src = (source_address, 0) if source_address else None
@@ -96,7 +95,6 @@ def _handshake(
             raise _HandshakeRejected(str(exc)) from exc
         try:
             version = tls.version() or "unknown"
-            cipher = (tls.cipher() or ("unknown",))[0]
             der = tls.getpeercert(binary_form=True)
             tls.settimeout(banner_wait_s)
             try:
@@ -110,7 +108,7 @@ def _handshake(
                 raise _HandshakeRejected(str(exc)) from exc
             if banner == b"":
                 raise _HandshakeRejected("connection closed before any data")
-            return version, cipher, der, banner
+            return version, der, banner
         finally:
             tls.close()
     finally:
@@ -164,7 +162,7 @@ def probe_tls(
 ) -> TlsPosture:
     notes: list[str] = []
     try:
-        version, cipher, der, banner_with = _handshake(
+        version, der, banner_with = _handshake(
             endpoint,
             _client_context(ca_path, client_cert, client_key, max_tls12=False),
             source_address,
@@ -188,7 +186,7 @@ def probe_tls(
 
     # anonymous handshake: must read to surface deferred rejection
     try:
-        _, _, _, banner_without = _handshake(
+        _, _, banner_without = _handshake(
             endpoint,
             _client_context(ca_path, None, None, max_tls12=False),
             source_address,
@@ -214,7 +212,7 @@ def probe_tls(
         demand = ClientCertDemand.NOT_REQUESTED
 
     try:
-        legacy_version, _, _, _ = _handshake(
+        legacy_version, _, _ = _handshake(
             endpoint,
             _client_context(ca_path, client_cert, client_key, max_tls12=True),
             source_address,
@@ -230,7 +228,6 @@ def probe_tls(
         endpoint=endpoint,
         speaks_tls=True,
         negotiated_version=version,
-        cipher_name=cipher,
         client_cert_demand=demand,
         accepts_legacy_offer=accepts_legacy,
         server_cert_subject=_subject_cn(der),
@@ -253,16 +250,10 @@ def _identity_paths(manifest: TargetManifest) -> tuple[Optional[str], Optional[s
 def check_db_transport(
     manifest: TargetManifest, timeout_s: float = 5.0
 ) -> CheckResult:
-    db_nodes = manifest.by_role(ComponentRole.DB_NODE)
-    if not db_nodes:
-        return CheckResult(
-            "DB-01", CheckStatus.SKIPPED, ["no database nodes declared"]
-        )
-
     cert, key = _identity_paths(manifest)
     source = manifest.allowlist_sources[0] if manifest.allowlist_sources else None
     outcomes = []
-    for comp in db_nodes:
+    for comp in manifest.by_role(ComponentRole.DB_NODE):
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
             try:
@@ -312,19 +303,8 @@ def check_db_transport(
     return fold("DB-01", outcomes)
 
 
-def check_data_at_rest(
-    manifest: TargetManifest,
-    plaintext_markers: tuple[bytes, ...] = DEFAULT_AT_REST_MARKERS,
-) -> list[CheckResult]:
-    db_nodes = manifest.by_role(ComponentRole.DB_NODE)
-    if not db_nodes:
-        skipped = ["no database nodes declared"]
-        return [
-            CheckResult("DB-03", CheckStatus.SKIPPED, list(skipped)),
-            CheckResult("DB-04", CheckStatus.SKIPPED, list(skipped)),
-        ]
-
-    inspectable = [c for c in db_nodes if c.storage_path]
+def check_data_at_rest(manifest: TargetManifest) -> list[CheckResult]:
+    inspectable = [c for c in manifest.by_role(ComponentRole.DB_NODE) if c.storage_path]
     if manifest.mode != "introspective" or not inspectable:
         reason = (
             "stored bytes not inspectable from a remote vantage"
@@ -336,7 +316,7 @@ def check_data_at_rest(
             CheckResult("DB-04", CheckStatus.NOT_ASSESSABLE, [reason]),
         ]
 
-    marker_names = ", ".join(m.decode("utf-8", errors="replace") for m in plaintext_markers)
+    marker_names = ", ".join(m.decode("utf-8", errors="replace") for m in AT_REST_MARKERS)
     db03 = []
     for comp in inspectable:
         try:
@@ -345,7 +325,7 @@ def check_data_at_rest(
         except OSError:
             db03.append(unassessable(f"{comp.id}: declared storage path not readable"))
             continue
-        hit = next((m for m in plaintext_markers if m in blob), None)
+        hit = next((m for m in AT_REST_MARKERS if m in blob), None)
         if hit is not None:
             db03.append(judged(
                 True,

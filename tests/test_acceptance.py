@@ -32,6 +32,7 @@ from utmaudit.testbed.harness import start_testbed
 from utmaudit.testbed.toggles import TOGGLES, load_matrix
 from utmaudit.wire import HttpClient
 
+from .oracles import token_signing
 from .oracles.pure_hash import hmac_sha256, sha256_hex
 
 POC_FINDINGS = ("DB-01", "OAUTH-05", "JWT-04")
@@ -203,17 +204,19 @@ def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed):
     assert len(services) >= 2
 
     keys = secure_testbed.signing_keys
-    valid_key = jwtkit.KeyMaterial(jwtkit.KeyKind.RSA_PRIVATE, keys.private_pem)
+    valid_key = token_signing.KeyMaterial(
+        token_signing.KeyKind.RSA_PRIVATE, keys.private_pem
+    )
     mutations = [
         jwtkit.SetAlgNone(),
         jwtkit.StripSignature(),
         jwtkit.FlipSignatureBit(0),
         jwtkit.FlipSignatureBit(777),
         jwtkit.AlgConfusionHs256(keys.public_pem),
-        jwtkit.SetExpiry(1_000_000),
+        token_signing.SetExpiry(1_000_000),
         jwtkit.AddScope("admin:write"),
-        jwtkit.SetAudience("some-other-service"),
-        jwtkit.ResignWith(valid_key),
+        token_signing.SetAudience("some-other-service"),
+        token_signing.ResignWith(valid_key),
     ]
 
     for comp in services:
@@ -227,7 +230,7 @@ def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed):
         base = mint(scope=comp.read.scope, audience=comp.audience)
         assert base is not None, comp.id
         for mutation in mutations:
-            forged = jwtkit.forge(base, mutation)
+            forged = token_signing.forge(base, mutation)
             resp = http.request(
                 comp.read.method,
                 url,
@@ -235,7 +238,7 @@ def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed):
                 source=source,
             )
             accepted = 200 <= resp.status < 300
-            if isinstance(mutation, jwtkit.ResignWith):
+            if isinstance(mutation, token_signing.ResignWith):
                 assert accepted, (comp.id, mutation.name, resp.status)
             else:
                 assert not accepted, (comp.id, mutation.name, resp.status)

@@ -32,6 +32,23 @@ CRITICAL = {"DB-02", "JWT-04", "JWT-05", "JWT-06", "JWT-07"}
 LOW = {"DB-03", "DB-04", "JWT-10"}
 
 
+# The Skipped reasons of a target that declares only its OAuth server, for
+# the checks that need some other component.
+_INACTIVE_WITHOUT_COMPONENTS = {
+    "NET-01": "no restricted endpoints declared",
+    "DB-01": "no database nodes declared",
+    "DB-02": "no HTTPS gateway declared",
+    "DB-03": "no database nodes declared",
+    "DB-04": "no database nodes declared",
+    **{f"JWT-{n:02d}": "no token-accepting services declared" for n in range(1, 10)},
+    "JWT-10": "no web interface declared",
+    "LOG-01": "no log repository declared",
+    "LOG-02": "no log repository declared",
+    "LOG-03": "no log repository declared",
+    "LOG-04": "no log repository declared",
+}
+
+
 def closed_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -117,9 +134,18 @@ def test_cert_only_client_without_web_apps_narrows_scope():
     )
     active = applicable_checks(manifest)
     inactive = {d.check_id for d in REGISTRY} - set(active)
-    assert inactive == {"OAUTH-03", "OAUTH-04", "OAUTH-05", "OAUTH-06", "JWT-10", "WEB-01"}
+    assert inactive == (
+        {"OAUTH-03", "OAUTH-04", "OAUTH-05", "OAUTH-06", "WEB-01"}
+        | set(_INACTIVE_WITHOUT_COMPONENTS)
+    )
     assert "OAUTH-01" in active
     assert active == [i for i in (d.check_id for d in REGISTRY) if i not in inactive]
+    # each check reports the first rule of the table that names it
+    report = run_audit(manifest, selection=set(_INACTIVE_WITHOUT_COMPONENTS))
+    assert all(r.status is CheckStatus.SKIPPED for r in report.results)
+    assert {r.check_id: r.evidence for r in report.results} == {
+        check_id: [reason] for check_id, reason in _INACTIVE_WITHOUT_COMPONENTS.items()
+    }
 
 
 def test_secret_client_with_web_app_and_extra_grant():
@@ -133,7 +159,52 @@ def test_secret_client_with_web_app_and_extra_grant():
         ),
     )
     active = applicable_checks(manifest)
-    assert set(active) == {d.check_id for d in REGISTRY} - {"OAUTH-01"}
+    assert set(active) == {"NET-02", "OAUTH-02", "OAUTH-03", "OAUTH-04", "OAUTH-05",
+                           "OAUTH-06", "WEB-01"}
+
+
+def test_gateway_without_injectable_parameters_skips_db02():
+    manifest = synthetic_manifest(
+        "client_secret = 0123456789abcdef0123456789abcdef\n",
+        component_lines=(
+            f"\n[component gw]\n"
+            f"role = HttpsGateway\n"
+            f"endpoints = http://127.0.0.1:{closed_port()}\n"
+        ),
+    )
+    assert "DB-02" not in applicable_checks(manifest)
+    (result,) = run_audit(manifest, selection={"DB-02"}).results
+    assert result.status is CheckStatus.SKIPPED
+    assert result.evidence == ["no injectable parameters declared"]
+
+
+def test_key_management_without_endpoints_skips_net01_and_judges_net02():
+    # the parser lets a KeyManagement component declare no endpoints; with
+    # no restricted endpoint left NET-01 has nothing to probe
+    text = (
+        "[target]\n"
+        "mode = remote\n"
+        "allowlist = 127.0.0.2\n"
+        "\n"
+        "[client]\n"
+        "client_id = auditor\n"
+        "client_secret = 0123456789abcdef0123456789abcdef\n"
+        "\n"
+        "[component auth]\n"
+        "role = OAuthServer\n"
+        f"endpoints = https://127.0.0.1:{closed_port()}\n"
+        "\n"
+        "[component kms]\n"
+        "role = KeyManagement\n"
+    )
+    report = run_audit(parse_manifest(text.encode()), selection={"NET-01", "NET-02"})
+    net01, net02 = report.results
+    assert net01.status is CheckStatus.SKIPPED
+    assert net01.evidence == ["no restricted endpoints declared"]
+    assert net02.status is CheckStatus.FAIL
+    assert net02.component_id == "auth"
+    assert len(net02.evidence) == 1
+    assert net02.evidence[0].endswith("from external: refused")
 
 
 def test_unknown_selection_rejected(secure_testbed):
@@ -262,3 +333,9 @@ def test_duration_is_timed_per_check_and_zero_when_skipped(secure_audit):
     assert skipped
     assert all(r.duration_ms == 0 for r in skipped)
     assert any(r.duration_ms > 0 for r in report.results)
+
+
+def test_net01_carries_the_reachability_sweep_duration(secure_audit):
+    report, _ = secure_audit
+    net01 = next(r for r in report.results if r.check_id == "NET-01")
+    assert net01.duration_ms > 0

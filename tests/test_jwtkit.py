@@ -16,30 +16,32 @@ from utmaudit.jwtkit import (
     AddScope,
     AlgConfusionHs256,
     FlipSignatureBit,
-    KeyKind,
-    KeyMaterial,
-    ResignWith,
     SetAlgNone,
-    SetAudience,
-    SetExpiry,
     SignedToken,
     StripSignature,
     TokenError,
     b64url_decode,
     b64url_encode,
     decode,
-    encode,
-    forge,
     jwk_to_public_pem,
     jwks_private_fields,
+)
+
+from .oracles.pure_hash import hmac_sha256
+from .oracles.token_signing import (
+    KeyKind,
+    KeyMaterial,
+    ResignWith,
+    SetAudience,
+    SetExpiry,
+    encode,
+    forge,
     make_token,
     sign_rs256,
     verify_hs256,
     verify_rs256,
     verify_token,
 )
-
-from .oracles.pure_hash import hmac_sha256
 
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 

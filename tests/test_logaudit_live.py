@@ -5,11 +5,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from utmaudit.jwtkit import make_token
 from utmaudit.logaudit import check_logs
 from utmaudit.manifest import parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.wire import HttpClient
+
+from .oracles.token_signing import make_token
 
 LOG_IDS = ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
 

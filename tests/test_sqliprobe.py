@@ -14,7 +14,6 @@ from utmaudit.sqliprobe import (
     CorpusError,
     Payload,
     ResponseSummary,
-    SqliConfig,
     check_sql_injection,
     load_corpus,
     parse_corpus,
@@ -231,29 +230,6 @@ def test_unreachable_gateway_not_assessable():
         _manifest(1), HttpClient(timeout_s=0.5)
     )
     assert result.status is CheckStatus.NOT_ASSESSABLE
-
-
-def test_no_declared_parameters_passes_with_note(isa_server):
-    port = isa_server(concat=True)
-    text = f"""\
-[target]
-mode = remote
-
-[client]
-client_id = auditor
-client_secret = 0123456789abcdef0123456789abcdef0123456789abcdef
-
-[component auth]
-role = OAuthServer
-endpoints = https://127.0.0.1:1
-
-[component gw]
-role = HttpsGateway
-endpoints = http://127.0.0.1:{port}
-"""
-    result = check_sql_injection(parse_manifest(text.encode()), HttpClient())
-    assert result.status is CheckStatus.PASS
-    assert result.evidence == ["no injectable parameters declared"]
 
 
 def test_scan_repeats_identically(isa_server):

@@ -7,8 +7,10 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from utmaudit.manifest import ComponentRole
-from utmaudit.testbed import tokens
-from utmaudit.testbed.harness import PORT_SPAN, start_testbed
+from utmaudit.oauthaudit import estimate_secret_strength
+from utmaudit.testbed import harness, tokens
+from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
+from utmaudit.testbed.rawlisteners import make_kms
 from utmaudit.testbed.toggles import (
     PROFILES,
     TOGGLES,
@@ -318,3 +320,25 @@ def test_stop_closes_every_port_and_ends_every_thread():
             socket.create_connection(("127.0.0.1", tb.port(offset)), timeout=2)
     left = [t for t in set(threading.enumerate()) - before if t.is_alive()]
     assert left == []
+
+
+def test_strong_secret_always_uses_the_full_urlsafe_alphabet():
+    # token_urlsafe(48) alone misses both '-' and '_' in about one draw in
+    # seven, which would move OAUTH-03's evidence from 384.0 to 381.1 bits
+    for _ in range(200):
+        strength = estimate_secret_strength(harness._strong_secret())
+        assert (strength.charset_size, strength.estimated_bits) == (64, 384.0)
+
+
+def test_stopping_an_unstarted_listener_returns_quietly():
+    listener = make_kms("127.0.0.1", 0)
+    listener.stop()
+
+
+def test_port_clash_surfaces_as_oserror_so_start_can_retry():
+    base = find_free_port_base()
+    with socket.socket() as blocker:
+        blocker.bind(("127.0.0.1", base + 7))
+        blocker.listen(1)
+        with pytest.raises(OSError):
+            harness._start_once(frozenset(), base)
