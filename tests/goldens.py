@@ -1,0 +1,70 @@
+"""Golden reports: the normalised first scan of a fresh testbed, per config.
+
+A config is the secure testbed, the ``paper-poc`` profile or one toggle.
+Its golden is ``tests/golden/<config>.json``: the ``strip_volatile`` JSON
+report of the first audit of a fresh in-process testbed, without
+``manifest_digest``, with the testbed's workdir written ``<workdir>`` and
+its eight ports written ``<port0>`` to ``<port7>``. ``test_golden`` compares
+each report byte for byte.
+
+Rewrite every golden, or the named ones, after a deliberate change of
+report bytes (explain each change in CHANGES.md):
+
+    PYTHONPATH=src python3 -m tests.goldens [config ...]
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+
+from utmaudit.engine import report_to_dict, run_audit, strip_volatile
+from utmaudit.testbed.harness import PORT_SPAN, start_testbed
+from utmaudit.testbed.toggles import TOGGLES
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIGS: tuple[str, ...] = ("secure", "paper-poc") + TOGGLES
+
+
+def _start(config: str):
+    if config == "secure":
+        return start_testbed()
+    if config == "paper-poc":
+        return start_testbed(profile="paper-poc")
+    return start_testbed((config,))
+
+
+def normalised_report(config: str) -> bytes:
+    """The golden bytes of one config, from a fresh testbed's first scan."""
+    tb = _start(config)
+    try:
+        doc = strip_volatile(report_to_dict(run_audit(tb.manifest)))
+    finally:
+        tb.stop()
+    doc.pop("manifest_digest")
+    text = json.dumps(doc, indent=2, sort_keys=True).replace(tb.workdir, "<workdir>")
+    for offset in range(PORT_SPAN):
+        text = re.sub(rf"\b{tb.port(offset)}\b", f"<port{offset}>", text)
+    return (text + "\n").encode("utf-8")
+
+
+def golden_path(config: str) -> Path:
+    return GOLDEN_DIR / f"{config}.json"
+
+
+def main(argv: list[str]) -> int:
+    unknown = sorted(set(argv) - set(CONFIGS))
+    if unknown:
+        print("unknown configs: " + ", ".join(unknown), file=sys.stderr)
+        return 2
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for config in argv or CONFIGS:
+        golden_path(config).write_bytes(normalised_report(config))
+        print(golden_path(config))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
