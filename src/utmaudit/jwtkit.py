@@ -26,7 +26,7 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 
 from .manifest import ComponentSpec, TargetManifest, Zone, expected_zone
 from .results import (
-    CheckResult, CheckStatus, Outcome, fold, judged, note, run_checks, unassessable,
+    CheckResult, Outcome, attempt, fold, judged, note, run_checks, unassessable,
 )
 from .wire import HttpClient, WireError
 
@@ -262,7 +262,7 @@ KEY_PATHS = ("/private.pem", "/.env", "/keys/")
 MintFn = Callable[..., Optional[SignedToken]]
 
 _KEY_EXPOSURE_MARKERS = (b"PRIVATE KEY", b"client_secret=", b"CLIENT_SECRET=")
-_NO_SERVICES = "no token-accepting services declared"
+_NO_ENFORCING = "no token-demanding action remains to present a token to"
 
 
 def token_services(manifest: TargetManifest) -> list[ComponentSpec]:
@@ -291,10 +291,11 @@ def _presented(
     token: str,
     variant: str,
     body: Optional[bytes] = None,
-) -> Outcome:
+) -> list[Outcome]:
     """Present one token to an action: acceptance fails the check, a
     transport error leaves this target unassessed."""
-    try:
+
+    def present() -> list[Outcome]:
         resp = http.request(
             method,
             comp.primary_endpoint().url(path),
@@ -302,15 +303,15 @@ def _presented(
             headers={"Authorization": f"Bearer {token}"},
             source=_source_for(http, comp),
         )
-    except WireError as exc:
-        return unassessable(f"{comp.id}: {exc}")
-    accepted = 200 <= resp.status < 300
-    word = "accepted" if accepted else "rejected"
-    return judged(
-        accepted,
-        f"{comp.id} {method} {path} with {variant} token: HTTP {resp.status} ({word})",
-        comp.id,
-    )
+        accepted = 200 <= resp.status < 300
+        word = "accepted" if accepted else "rejected"
+        return [judged(
+            accepted,
+            f"{comp.id} {method} {path} with {variant} token: HTTP {resp.status} ({word})",
+            comp.id,
+        )]
+
+    return attempt(comp.id, present)
 
 
 def _rejects_anonymous(
@@ -368,8 +369,9 @@ def run_jwt_battery(
     """Execute the wanted checks of JWT-01..JWT-10 against every
     token-accepting service."""
     services = token_services(manifest)
+    unreadable: list[Outcome] = []
     if keys is None:
-        keys = _fetch_jwks(manifest, http)
+        keys, unreadable = _fetch_jwks(manifest, http)
     enforcing, notes = _enforcing_services(services, http)
 
     baselines: dict[str, Optional[SignedToken]] = {}
@@ -383,7 +385,7 @@ def run_jwt_battery(
         ("JWT-01", lambda: _check_lifetime(live_token)),
         ("JWT-02", lambda: _check_expired(manifest, enforcing, notes, http, mint)),
         ("JWT-03", lambda: _check_algorithm(live_token)),
-        ("JWT-04", lambda: _check_key_exposure(manifest, http, keys)),
+        ("JWT-04", lambda: _check_key_exposure(manifest, http, keys, unreadable)),
         ("JWT-05", lambda: _check_forgeries(
             "JWT-05", enforcing, notes, baseline, http,
             [StripSignature(), FlipSignatureBit(0)],
@@ -398,45 +400,46 @@ def run_jwt_battery(
     ])
 
 
-def _fetch_jwks(manifest: TargetManifest, http: HttpClient) -> Optional[dict]:
+def _fetch_jwks(
+    manifest: TargetManifest, http: HttpClient
+) -> tuple[Optional[dict], list[Outcome]]:
+    """The declared JWKS document, or None with JWT-04's NotAssessable line
+    when it is declared but unreadable. (None, []) when none is declared."""
     server = manifest.oauth_server()
     if not server.jwks_path:
-        return None
-    try:
+        return None, []
+    label = f"{server.id} JWKS {server.jwks_path}"
+    doc: Optional[dict] = None
+
+    def fetch() -> list[Outcome]:
+        nonlocal doc
         resp = http.request("GET", server.primary_endpoint().url(server.jwks_path))
-        if resp.status == 200:
-            doc = resp.json()
-            if isinstance(doc, dict):
-                return doc
-    except (WireError, ValueError):
-        pass
-    return None
+        if resp.status != 200:
+            return [unassessable(f"{label}: HTTP {resp.status}")]
+        doc = resp.json_object()
+        return [] if doc is not None else [unassessable(f"{label}: not a JSON object")]
+
+    unreadable = attempt(label, fetch)
+    return doc, unreadable
 
 
 def _check_lifetime(live_token: SignedToken) -> CheckResult:
     claims = live_token.claims
     if "exp" not in claims:
-        return CheckResult(
-            "JWT-01", CheckStatus.FAIL,
-            ["issued token carries no exp claim (unbounded lifetime)"],
-        )
+        return fold("JWT-01", [judged(
+            True, "issued token carries no exp claim (unbounded lifetime)")])
     if "iat" not in claims:
-        return CheckResult(
-            "JWT-01", CheckStatus.FAIL,
-            ["issued token carries exp but no iat; lifetime cannot be bounded at issue time"],
-        )
+        return fold("JWT-01", [judged(
+            True, "issued token carries exp but no iat; lifetime cannot be bounded "
+            "at issue time")])
     lifetime = int(claims["exp"]) - int(claims["iat"])
     if lifetime > LIFETIME_THRESHOLD_S:
-        return CheckResult(
-            "JWT-01", CheckStatus.FAIL,
-            [f"issued token lifetime exp-iat = {lifetime} s exceeds threshold: "
-             f"{lifetime} > {LIFETIME_THRESHOLD_S}"],
-        )
-    return CheckResult(
-        "JWT-01", CheckStatus.PASS,
-        [f"issued token lifetime exp-iat = {lifetime} s within threshold "
-         f"{LIFETIME_THRESHOLD_S} s"],
-    )
+        return fold("JWT-01", [judged(
+            True, f"issued token lifetime exp-iat = {lifetime} s exceeds threshold: "
+            f"{lifetime} > {LIFETIME_THRESHOLD_S}")])
+    return fold("JWT-01", [judged(
+        False, f"issued token lifetime exp-iat = {lifetime} s within threshold "
+        f"{LIFETIME_THRESHOLD_S} s")])
 
 
 def _check_expired(
@@ -447,7 +450,7 @@ def _check_expired(
     mint: MintFn,
 ) -> CheckResult:
     if not services:
-        return fold("JWT-02", notes + [unassessable(_NO_SERVICES)])
+        return fold("JWT-02", notes + [unassessable(_NO_ENFORCING)])
     if not manifest.audit_fixture:
         return fold("JWT-02", notes + [unassessable(
             "a validly signed expired token cannot be obtained without issuer "
@@ -465,27 +468,26 @@ def _check_expired(
             outcomes.append(unassessable(
                 f"{comp.id}: no validly signed expired token could be minted"))
             continue
-        outcomes.append(_presented(http, comp, comp.read.method, comp.read.path,
-                                   expired.compact(), "validly-signed expired"))
+        outcomes += _presented(http, comp, comp.read.method, comp.read.path,
+                               expired.compact(), "validly-signed expired")
     return fold("JWT-02", outcomes)
 
 
 def _check_algorithm(live_token: SignedToken) -> CheckResult:
     alg = live_token.header.get("alg")
-    allowed = ", ".join(sorted(ALLOWED_ALGS))
-    if alg not in ALLOWED_ALGS:
-        return CheckResult(
-            "JWT-03", CheckStatus.FAIL,
-            [f"issued token header alg = {alg}; outside allowed set: {allowed}"],
-        )
-    return CheckResult(
-        "JWT-03", CheckStatus.PASS,
-        [f"issued token header alg = {alg}; allowed set: {allowed}"],
-    )
+    outside = alg not in ALLOWED_ALGS
+    return fold("JWT-03", [judged(
+        outside,
+        f"issued token header alg = {alg}; {'outside allowed set' if outside else 'allowed set'}: "
+        + ", ".join(sorted(ALLOWED_ALGS)),
+    )])
 
 
 def _check_key_exposure(
-    manifest: TargetManifest, http: HttpClient, keys: Optional[dict]
+    manifest: TargetManifest,
+    http: HttpClient,
+    keys: Optional[dict],
+    unreadable: list[Outcome],
 ) -> CheckResult:
     outcomes = []
     public_web = [
@@ -495,22 +497,23 @@ def _check_key_exposure(
         and comp.endpoints
         and comp.primary_endpoint().scheme in ("http", "https")
     ]
+
+    def key_path(comp: ComponentSpec, path: str) -> list[Outcome]:
+        resp = http.request("GET", comp.primary_endpoint().url(path))
+        if resp.status == 200 and any(
+            marker in resp.body for marker in _KEY_EXPOSURE_MARKERS
+        ):
+            return [judged(
+                True, f"{comp.id} GET {path}: HTTP 200 returns key material", comp.id)]
+        return [judged(False, f"{comp.id} GET {path}: HTTP {resp.status}")]
+
     for comp in public_web:
         for path in KEY_PATHS:
-            try:
-                resp = http.request("GET", comp.primary_endpoint().url(path))
-            except WireError as exc:
-                outcomes.append(unassessable(f"{comp.id}: {exc}"))
-                continue
-            if resp.status == 200 and any(
-                marker in resp.body for marker in _KEY_EXPOSURE_MARKERS
-            ):
-                outcomes.append(judged(
-                    True, f"{comp.id} GET {path}: HTTP 200 returns key material", comp.id))
-            else:
-                outcomes.append(judged(False, f"{comp.id} GET {path}: HTTP {resp.status}"))
+            outcomes += attempt(comp.id, lambda: key_path(comp, path))
     exposed = jwks_private_fields(keys) if keys is not None else []
-    if keys is None:
+    if unreadable:
+        outcomes += unreadable
+    elif keys is None:
         outcomes.append(judged(False, "no JWKS document published"))
     elif exposed:
         outcomes.append(judged(
@@ -533,17 +536,17 @@ def _check_forgeries(
 ) -> CheckResult:
     outcomes = list(notes)
     if not services:
-        outcomes.append(unassessable(_NO_SERVICES))
+        outcomes.append(unassessable(_NO_ENFORCING))
     for comp in services:
         base = baseline(comp)
         if base is None:
             outcomes.append(unassessable(f"{comp.id}: no baseline token could be minted"))
             continue
         for mutation in mutations:
-            outcomes.append(_presented(
+            outcomes += _presented(
                 http, comp, comp.read.method, comp.read.path,
                 forge(base, mutation).compact(), mutation.name,
-            ))
+            )
     return fold(check_id, outcomes, pass_line)
 
 
@@ -555,7 +558,7 @@ def _check_confusion(
     keys: Optional[dict],
 ) -> CheckResult:
     if not services:
-        return fold("JWT-07", notes + [unassessable(_NO_SERVICES)])
+        return fold("JWT-07", notes + [unassessable(_NO_ENFORCING)])
     rsa_keys = [e for e in (keys or {}).get("keys", []) if e.get("kty") == "RSA"]
     if not rsa_keys:
         return fold("JWT-07", notes + [unassessable(
@@ -595,10 +598,10 @@ def _check_scope(
             (base, "legitimately scoped read-only"),
         ]
         for token, variant in probes:
-            outcomes.append(_presented(
+            outcomes += _presented(
                 http, comp, comp.write.method, comp.write.path,
                 token.compact(), variant, body=body,
-            ))
+            )
     return fold("JWT-08", outcomes, "write actions demand their declared scope")
 
 
@@ -620,9 +623,7 @@ def _check_audience(
             "fewer than two token audiences declared; cross-audience replay "
             "cannot be constructed")])
     if not enforcing:
-        return fold("JWT-09", notes + [unassessable(
-            "no token-demanding action remains to present a cross-audience "
-            "token to")])
+        return fold("JWT-09", notes + [unassessable(_NO_ENFORCING)])
     outcomes = list(notes)
     for comp in enforcing:
         foreign = next(a for a in audiences if a != comp.audience)
@@ -632,8 +633,8 @@ def _check_audience(
         if token is None:
             outcomes.append(unassessable(f"could not mint a token for audience {foreign}"))
             continue
-        outcomes.append(_presented(http, comp, comp.read.method, comp.read.path,
-                                   token.compact(), f"audience={foreign}"))
+        outcomes += _presented(http, comp, comp.read.method, comp.read.path,
+                               token.compact(), f"audience={foreign}")
     return fold("JWT-09", outcomes, "tokens are rejected outside their minted audience")
 
 
@@ -641,31 +642,34 @@ _COOKIE_REQUIRED_FLAGS = ("secure", "httponly", "samesite=strict")
 _STORAGE_PATTERN = re.compile(r"localStorage\s*\.\s*setItem|window\.localStorage")
 
 
+def _page_storage(http: HttpClient, comp: ComponentSpec) -> list[Outcome]:
+    """JWT-10's outcomes for one web application's landing page."""
+    resp = http.request("GET", comp.primary_endpoint().url("/"),
+                        source=_source_for(http, comp))
+    outcomes = []
+    for cookie in resp.header_all("Set-Cookie"):
+        cookie_name = cookie.split("=", 1)[0].strip()
+        lowered = cookie.lower()
+        missing = [flag for flag in _COOKIE_REQUIRED_FLAGS if flag not in lowered]
+        if missing:
+            outcomes.append(judged(
+                True, f"{comp.id} cookie {cookie_name} missing flags: "
+                + ", ".join(missing), comp.id))
+        else:
+            outcomes.append(judged(
+                False, f"{comp.id} cookie {cookie_name} sets Secure, HttpOnly, "
+                "SameSite=Strict"))
+    if _STORAGE_PATTERN.search(resp.text()):
+        outcomes.append(judged(
+            True, f"{comp.id} page persists values to browser localStorage", comp.id))
+    else:
+        outcomes.append(judged(
+            False, f"{comp.id} page does not persist tokens to browser storage"))
+    return outcomes
+
+
 def _check_web_token_storage(manifest: TargetManifest, http: HttpClient) -> CheckResult:
     outcomes = []
     for comp in manifest.web_apps():
-        try:
-            resp = http.request("GET", comp.primary_endpoint().url("/"),
-                                source=_source_for(http, comp))
-        except WireError as exc:
-            outcomes.append(unassessable(f"{comp.id}: {exc}"))
-            continue
-        for cookie in resp.header_all("Set-Cookie"):
-            cookie_name = cookie.split("=", 1)[0].strip()
-            lowered = cookie.lower()
-            missing = [flag for flag in _COOKIE_REQUIRED_FLAGS if flag not in lowered]
-            if missing:
-                outcomes.append(judged(
-                    True, f"{comp.id} cookie {cookie_name} missing flags: "
-                    + ", ".join(missing), comp.id))
-            else:
-                outcomes.append(judged(
-                    False, f"{comp.id} cookie {cookie_name} sets Secure, HttpOnly, "
-                    "SameSite=Strict"))
-        if _STORAGE_PATTERN.search(resp.text()):
-            outcomes.append(judged(
-                True, f"{comp.id} page persists values to browser localStorage", comp.id))
-        else:
-            outcomes.append(judged(
-                False, f"{comp.id} page does not persist tokens to browser storage"))
+        outcomes += attempt(comp.id, lambda: _page_storage(http, comp))
     return fold("JWT-10", outcomes)

@@ -16,7 +16,8 @@ from typing import Collection, Optional
 
 from .manifest import ComponentRole, TargetManifest, Zone, expected_zone
 from .results import (
-    CheckResult, CheckStatus, fold, judged, note, run_checks, unassessable, uniform,
+    CheckResult, CheckStatus, Outcome, attempt, fold, judged, note, run_checks,
+    unassessable, uniform,
 )
 from .wire import HttpClient, SourceUnavailable, WireError
 
@@ -149,7 +150,7 @@ def check_logs(
     if resp.status != 200:
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
                        f"{repo.id}: record listing returned HTTP {resp.status}")
-    listing = _json_object(resp)
+    listing = resp.json_object()
     records = listing.get("records", []) if listing is not None else None
     chain = chain_from_wire(records) if isinstance(records, list) else None
 
@@ -163,20 +164,9 @@ def check_logs(
     ])
 
 
-def _json_object(resp) -> Optional[dict]:
-    """The response body as a JSON object; None for anything else."""
-    try:
-        doc = resp.json()
-    except ValueError:
-        return None
-    return doc if isinstance(doc, dict) else None
-
-
 def _unreadable_listing(check_id: str, repo) -> CheckResult:
-    return CheckResult(
-        check_id, CheckStatus.NOT_ASSESSABLE,
-        [f"{repo.id}: record listing is not a JSON object with a records list"],
-    )
+    return fold(check_id, [unassessable(
+        f"{repo.id}: record listing is not a JSON object with a records list")])
 
 
 def _check_granularity(
@@ -186,26 +176,20 @@ def _check_granularity(
         return _unreadable_listing("LOG-01", repo)
     records = chain.records[-SAMPLE_SIZE:]
     if not records:
-        return CheckResult("LOG-01", CheckStatus.NOT_ASSESSABLE,
-                           [f"{repo.id}: repository holds no records to sample"])
+        return fold("LOG-01", [unassessable(
+            f"{repo.id}: repository holds no records to sample")])
     required = set(manifest.required_log_fields)
     missing: set = set()
     for record in records:
         missing |= required - set(record.fields)
-    policy = f"sampling policy: most recent {SAMPLE_SIZE} records"
     if missing:
-        return CheckResult(
-            "LOG-01", CheckStatus.FAIL,
-            [policy,
-             "sampled records missing required fields: " + ", ".join(sorted(missing))],
-            component_id=repo.id,
-        )
-    return CheckResult(
-        "LOG-01", CheckStatus.PASS,
-        [policy,
-         "every sampled record carries required fields: "
-         + ", ".join(sorted(required))],
-    )
+        line = "sampled records missing required fields: " + ", ".join(sorted(missing))
+    else:
+        line = "every sampled record carries required fields: " + ", ".join(sorted(required))
+    return fold("LOG-01", [
+        note(f"sampling policy: most recent {SAMPLE_SIZE} records"),
+        judged(bool(missing), line, repo.id),
+    ])
 
 
 def _check_chain(
@@ -215,91 +199,79 @@ def _check_chain(
         return _unreadable_listing("LOG-03", repo)
     report = verify_chain(chain)
     if not report.ok:
-        return CheckResult(
-            "LOG-03", CheckStatus.FAIL,
-            [f"hash chain break: stored link at seq {report.first_broken_seq} "
-             "does not recompute from its predecessor"],
-            component_id=repo.id,
-        )
+        return fold("LOG-03", [judged(
+            True, f"hash chain break: stored link at seq {report.first_broken_seq} "
+            "does not recompute from its predecessor", repo.id)])
     outcomes = [judged(False, "hash chain verifies from genesis to head: all links valid")]
 
     # A repository that lets writers dictate links invites silent rewrites.
-    if repo.write:
+    def forged_append() -> list[Outcome]:
         write_token = mint(scope=repo.write.scope, audience=repo.audience)
         if write_token is None:
-            outcomes.append(unassessable("forged-link append not probed: no write token"))
-            return fold("LOG-03", outcomes)
+            return [unassessable("forged-link append not probed: no write token")]
         body = json.dumps(
             {"fields": {"action": "audit-chain-probe", "actor_id": "auditor",
                         "token_subject": "auditor", "resource": "audit",
                         "outcome": "probe", "timestamp": "probe"},
              "link": "00" * 32}
         ).encode("utf-8")
-        try:
-            resp = http.request(
-                "POST", base_url + repo.write.path, body=body,
-                headers={"Authorization": f"Bearer {write_token.compact()}"},
-                source=source,
-            )
-        except WireError as exc:
-            outcomes.append(unassessable(f"forged-link append not probed: {exc}"))
-            return fold("LOG-03", outcomes)
+        resp = http.request(
+            "POST", base_url + repo.write.path, body=body,
+            headers={"Authorization": f"Bearer {write_token.compact()}"},
+            source=source,
+        )
         accepted = 200 <= resp.status < 300
         word = "accepted" if accepted else "rejected"
-        outcomes.append(judged(
-            accepted, f"append with forged chain link {word}: HTTP {resp.status}",
-            repo.id))
+        return [judged(
+            accepted, f"append with forged chain link {word}: HTTP {resp.status}", repo.id)]
+
+    if repo.write:
+        outcomes += attempt("forged-link append not probed", forged_append)
     return fold("LOG-03", outcomes)
 
 
 def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> CheckResult:
     if not repo.write:
-        return CheckResult("LOG-02", CheckStatus.NOT_ASSESSABLE,
-                           [f"{repo.id}: no write action declared for probing"])
+        return fold("LOG-02", [unassessable(
+            f"{repo.id}: no write action declared for probing")])
     write_token = mint(scope=repo.write.scope, audience=repo.audience)
     if write_token is None:
-        return CheckResult("LOG-02", CheckStatus.NOT_ASSESSABLE,
-                           ["could not obtain a log-write token"])
+        return fold("LOG-02", [unassessable("could not obtain a log-write token")])
     auth = {"Authorization": f"Bearer {write_token.compact()}"}
     body = json.dumps(
         {"fields": {"action": "audit-worm-probe", "actor_id": "auditor",
                     "token_subject": "auditor", "resource": "audit",
                     "outcome": "probe", "timestamp": "probe"}}
     ).encode("utf-8")
-    try:
+
+    def mutate(record_url: str, method: str, label: str) -> list[Outcome]:
+        resp = http.request(method, record_url, body=body if method == "PUT" else None,
+                            headers=auth, source=source)
+        if 200 <= resp.status < 300:
+            return [judged(
+                True, f"{label} of the sacrificial record accepted: HTTP {resp.status}",
+                repo.id)]
+        return [judged(False, f"{label} attempt rejected: HTTP {resp.status}")]
+
+    def append_then_mutate() -> list[Outcome]:
         resp = http.request("POST", base_url + repo.write.path, body=body,
                             headers=auth, source=source)
-    except WireError as exc:
-        return CheckResult("LOG-02", CheckStatus.NOT_ASSESSABLE, [f"{repo.id}: {exc}"])
-    if resp.status not in (200, 201):
-        return CheckResult(
-            "LOG-02", CheckStatus.NOT_ASSESSABLE,
-            [f"sacrificial append rejected (HTTP {resp.status}); "
-             "mutation probing has no safe target"],
-        )
-    appended = _json_object(resp)
-    if appended is None:
-        return CheckResult(
-            "LOG-02", CheckStatus.NOT_ASSESSABLE,
-            ["sacrificial append answered with a body that is not a JSON object; "
-             "the record to mutate is unknown"],
-        )
-    outcomes = [note("sacrificial record appended for mutation probing")]
-    record_url = f"{base_url}{repo.write.path}/{appended.get('seq')}"
-    for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
-        try:
-            attempt = http.request(method, record_url, body=body if method == "PUT" else None,
-                                   headers=auth, source=source)
-        except WireError as exc:
-            outcomes.append(unassessable(f"{label} attempt failed at transport level: {exc}"))
-            continue
-        if 200 <= attempt.status < 300:
-            outcomes.append(judged(
-                True, f"{label} of the sacrificial record accepted: HTTP {attempt.status}",
-                repo.id))
-        else:
-            outcomes.append(judged(False, f"{label} attempt rejected: HTTP {attempt.status}"))
-    return fold("LOG-02", outcomes)
+        if resp.status not in (200, 201):
+            return [unassessable(f"sacrificial append rejected (HTTP {resp.status}); "
+                                 "mutation probing has no safe target")]
+        appended = resp.json_object()
+        if appended is None:
+            return [unassessable(
+                "sacrificial append answered with a body that is not a JSON object; "
+                "the record to mutate is unknown")]
+        outcomes = [note("sacrificial record appended for mutation probing")]
+        record_url = f"{base_url}{repo.write.path}/{appended.get('seq')}"
+        for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
+            outcomes += attempt(f"{label} attempt failed at transport level",
+                                lambda: mutate(record_url, method, label))
+        return outcomes
+
+    return fold("LOG-02", attempt(repo.id, append_then_mutate))
 
 
 def _check_access(repo, read_url: str, auth: dict, http: HttpClient) -> CheckResult:

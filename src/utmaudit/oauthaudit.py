@@ -16,7 +16,9 @@ from typing import Collection, Optional
 
 from . import jwtkit
 from .manifest import ComponentSpec, TargetManifest
-from .results import CheckResult, CheckStatus, fold, judged, run_checks, unassessable
+from .results import (
+    CheckResult, Outcome, attempt, fold, judged, run_checks, unassessable,
+)
 from .wire import HttpClient, WireError
 
 ENTROPY_THRESHOLD_BITS = 256
@@ -230,6 +232,25 @@ def _redirect_grants(resp) -> Optional[str]:
     return None
 
 
+def _issuance(server, req: TokenRequest, http, issued: str, refused: str) -> list[Outcome]:
+    """One token request that a secure server refuses: a token issued fails
+    the check with the issued line."""
+    result = request_token(server, req, http)
+    detail = f" (error={result.error})" if result.error else ""
+    line = issued if result.ok else f"{refused} rejected: HTTP {result.status}{detail}"
+    return [judged(result.ok, line, server.id)]
+
+
+def _authorization(server, http, params: dict, artifact: str, granted: str,
+                   refused: str) -> list[Outcome]:
+    """One authorization request that a secure server refuses: a redirect
+    granting the artifact fails the check with the granted line."""
+    resp = http.request("GET", _authorize_url(server, **params))
+    completed = _redirect_grants(resp) == artifact
+    line = granted if completed else f"{refused} rejected: HTTP {resp.status}"
+    return [judged(completed, line, server.id)]
+
+
 def _check_sender_constraining(server, client, http) -> CheckResult:
     req = TokenRequest(
         grant_type="client_credentials",
@@ -238,104 +259,68 @@ def _check_sender_constraining(server, client, http) -> CheckResult:
         scope=None,
         present_client_cert=False,
     )
-    try:
-        result = request_token(server, req, http)
-    except WireError as exc:
-        return CheckResult("OAUTH-01", CheckStatus.NOT_ASSESSABLE, [str(exc)])
-    if result.ok:
-        return CheckResult(
-            "OAUTH-01", CheckStatus.FAIL,
-            ["token issued without the registered client certificate; "
-             "issuance is not sender-constrained"],
-            component_id=server.id,
-        )
-    detail = f" (error={result.error})" if result.error else ""
-    return CheckResult(
-        "OAUTH-01", CheckStatus.PASS,
-        [f"issuance without client certificate rejected: HTTP {result.status}{detail}"],
-    )
+    return fold("OAUTH-01", attempt(None, lambda: _issuance(
+        server, req, http,
+        "token issued without the registered client certificate; "
+        "issuance is not sender-constrained",
+        "issuance without client certificate",
+    )))
 
 
 def _check_least_privilege(server, client, http) -> CheckResult:
     if not client.entitled_scopes:
-        return CheckResult(
-            "OAUTH-02", CheckStatus.NOT_ASSESSABLE,
-            ["manifest declares no scope entitlement to compare against"],
-        )
-    requested = " ".join(client.entitled_scopes)
+        return fold("OAUTH-02", [unassessable(
+            "manifest declares no scope entitlement to compare against")])
     req = TokenRequest(
         grant_type="client_credentials",
         client_id=client.client_id,
         client_secret=client.client_secret,
-        scope=requested,
+        scope=" ".join(client.entitled_scopes),
         present_client_cert=client.has_certificate(),
     )
-    try:
+
+    def granted() -> list[Outcome]:
         result = request_token(server, req, http)
-    except WireError as exc:
-        return CheckResult("OAUTH-02", CheckStatus.NOT_ASSESSABLE, [str(exc)])
-    if not result.ok:
-        return CheckResult(
-            "OAUTH-02", CheckStatus.NOT_ASSESSABLE,
-            [f"token request for entitled scopes rejected: HTTP {result.status}"],
-        )
-    granted = set(result.granted_scope.split())
-    excess = granted - set(client.entitled_scopes)
-    if excess:
-        return CheckResult(
-            "OAUTH-02", CheckStatus.FAIL,
-            ["granted scopes exceed declared entitlement: "
-             + ", ".join(sorted(excess))],
-            component_id=server.id,
-        )
-    return CheckResult(
-        "OAUTH-02", CheckStatus.PASS,
-        ["granted scopes stay within the declared entitlement: "
-         + ", ".join(sorted(granted))],
-    )
+        if not result.ok:
+            return [unassessable(
+                f"token request for entitled scopes rejected: HTTP {result.status}")]
+        scopes = set(result.granted_scope.split())
+        excess = scopes - set(client.entitled_scopes)
+        if excess:
+            return [judged(True, "granted scopes exceed declared entitlement: "
+                           + ", ".join(sorted(excess)), server.id)]
+        return [judged(False, "granted scopes stay within the declared entitlement: "
+                       + ", ".join(sorted(scopes)))]
+
+    return fold("OAUTH-02", attempt(None, granted))
 
 
 def _check_secret_entropy(client) -> CheckResult:
     estimate = estimate_secret_strength(client.client_secret)
-    summary = (
+    weak = estimate.estimated_bits < ENTROPY_THRESHOLD_BITS
+    return fold("OAUTH-03", [judged(
+        weak,
         f"estimated entropy {estimate.estimated_bits:.1f} bits "
-        f"({estimate.length} chars over inferred charset of {estimate.charset_size})"
-    )
-    if estimate.estimated_bits < ENTROPY_THRESHOLD_BITS:
-        return CheckResult(
-            "OAUTH-03", CheckStatus.FAIL,
-            [summary + f"; below required {ENTROPY_THRESHOLD_BITS} bits"],
-        )
-    return CheckResult(
-        "OAUTH-03", CheckStatus.PASS,
-        [summary + f"; meets required {ENTROPY_THRESHOLD_BITS} bits"],
-    )
+        f"({estimate.length} chars over inferred charset of {estimate.charset_size}); "
+        f"{'below' if weak else 'meets'} required {ENTROPY_THRESHOLD_BITS} bits",
+    )])
 
 
 def _check_secret_storage(manifest, server, client) -> CheckResult:
     if manifest.mode != "introspective" or not server.storage_path:
-        return CheckResult(
-            "OAUTH-04", CheckStatus.NOT_ASSESSABLE,
-            ["credential-store inspection requires introspective mode with a "
-             "declared storage path"],
-        )
-    try:
+        return fold("OAUTH-04", [unassessable(
+            "credential-store inspection requires introspective mode with a "
+            "declared storage path")])
+
+    def stored() -> list[Outcome]:
         with open(server.storage_path, "rb") as fh:
-            stored = fh.read()
-    except OSError as exc:
-        return CheckResult("OAUTH-04", CheckStatus.NOT_ASSESSABLE,
-                           [f"credential store unreadable: {exc}"])
-    if client.client_secret.encode("utf-8") in stored:
-        return CheckResult(
-            "OAUTH-04", CheckStatus.FAIL,
-            ["credential store contains the client_secret recoverable in plaintext"],
-            component_id=server.id,
-        )
-    return CheckResult(
-        "OAUTH-04", CheckStatus.PASS,
-        ["credential store does not contain the literal client_secret; "
-         "stored form is not plaintext-recoverable"],
-    )
+            if client.client_secret.encode("utf-8") in fh.read():
+                return [judged(True, "credential store contains the client_secret "
+                               "recoverable in plaintext", server.id)]
+        return [judged(False, "credential store does not contain the literal "
+                       "client_secret; stored form is not plaintext-recoverable")]
+
+    return fold("OAUTH-04", attempt("credential store unreadable", stored))
 
 
 def _check_extra_grants(server, client, http) -> CheckResult:
@@ -348,19 +333,9 @@ def _check_extra_grants(server, client, http) -> CheckResult:
             present_client_cert=client.has_certificate(),
             extra={"username": "audit-probe", "password": "audit-probe"},
         )
-        try:
-            result = request_token(server, req, http)
-        except WireError as exc:
-            outcomes.append(unassessable(str(exc)))
-        else:
-            if result.ok:
-                outcomes.append(judged(
-                    True, "undeclared password grant accepted and issued a token",
-                    server.id))
-            else:
-                detail = f" (error={result.error})" if result.error else ""
-                outcomes.append(judged(
-                    False, f"password grant rejected: HTTP {result.status}{detail}"))
+        outcomes += attempt(None, lambda: _issuance(
+            server, req, http,
+            "undeclared password grant accepted and issued a token", "password grant"))
 
     redirect_uri = "https://auditor.invalid/callback"
     probes = [
@@ -373,16 +348,9 @@ def _check_extra_grants(server, client, http) -> CheckResult:
          "code"),
     ]
     for label, params, artifact in probes:
-        try:
-            resp = http.request("GET", _authorize_url(server, **params))
-        except WireError as exc:
-            outcomes.append(unassessable(f"{label}: {exc}"))
-            continue
-        if _redirect_grants(resp) == artifact:
-            outcomes.append(judged(
-                True, f"{label} completed and granted a {artifact}", server.id))
-        else:
-            outcomes.append(judged(False, f"{label} rejected: HTTP {resp.status}"))
+        outcomes += attempt(label, lambda: _authorization(
+            server, http, params, artifact,
+            f"{label} completed and granted a {artifact}", label))
     return fold("OAUTH-05", outcomes)
 
 
@@ -395,18 +363,8 @@ def _check_csrf_state(server, client, http) -> CheckResult:
         "code_challenge_method": "S256",
         # no state parameter: a protected flow must refuse to continue
     }
-    try:
-        resp = http.request("GET", _authorize_url(server, **params))
-    except WireError as exc:
-        return CheckResult("OAUTH-06", CheckStatus.NOT_ASSESSABLE, [str(exc)])
-    if _redirect_grants(resp) == "code":
-        return CheckResult(
-            "OAUTH-06", CheckStatus.FAIL,
-            ["authorization flow completed without an anti-CSRF state parameter"],
-            component_id=server.id,
-        )
-    return CheckResult(
-        "OAUTH-06", CheckStatus.PASS,
-        [f"authorization request without a state parameter rejected: "
-         f"HTTP {resp.status}"],
-    )
+    return fold("OAUTH-06", attempt(None, lambda: _authorization(
+        server, http, params, "code",
+        "authorization flow completed without an anti-CSRF state parameter",
+        "authorization request without a state parameter",
+    )))

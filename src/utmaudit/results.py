@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Optional
 
+from .wire import WireError
 AREA_ORDER = ("NET", "DB", "OAUTH", "JWT", "WEB", "LOG")
 
 
@@ -78,6 +79,16 @@ def note(line: str) -> Outcome:
     return Outcome(None, line)
 
 
+def attempt(label: Optional[str], probe: Callable[[], list[Outcome]]) -> list[Outcome]:
+    """Run one probe. A transport or I/O error gives that probe the single
+    NotAssessable line "<label>: <error>" (the bare error without a label)
+    and never ends the check, so outcomes of other probes keep their lines."""
+    try:
+        return probe()
+    except (WireError, OSError) as exc:
+        return [unassessable(f"{label}: {exc}" if label else str(exc))]
+
+
 def fold(check_id: str, outcomes: Iterable[Outcome],
          pass_line: Optional[str] = None) -> CheckResult:
     """The verdict rule: Fail beats NotAssessable beats Pass, and a Pass
@@ -115,7 +126,7 @@ def run_checks(
 
     An exception costs only the check that raised it, which comes back
     NotAssessable with the error as evidence. duration_ms is the check's
-    wall time; Skipped results keep 0.
+    wall time.
     """
     results = []
     for check_id, check in checks:
@@ -126,8 +137,7 @@ def run_checks(
             result = check()
         except Exception as exc:  # surface, never abort the area
             result = CheckResult(check_id, CheckStatus.NOT_ASSESSABLE, [aborted(exc)])
-        if result.status is not CheckStatus.SKIPPED:
-            result.duration_ms = int((time.monotonic() - started) * 1000)
+        result.duration_ms = int((time.monotonic() - started) * 1000)
         results.append(result)
     return results
 

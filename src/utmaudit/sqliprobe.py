@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .manifest import ComponentRole, ComponentSpec, InjectTarget, TargetManifest
-from .results import CheckResult, CheckStatus, Outcome, fold, judged, unassessable
+from .results import CheckResult, Outcome, attempt, fold, judged, unassessable
 from .wire import HttpClient, WireError
 
 SIMILARITY_THRESHOLD = 0.15
@@ -139,32 +139,12 @@ def response_distance(a: ResponseSummary, b: ResponseSummary) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TargetVerdict:
-    """The probe outcomes for one injection target."""
-
-    outcomes: list[Outcome]
-
-    @property
-    def vulnerable(self) -> bool:
-        return any(o.status is CheckStatus.FAIL for o in self.outcomes)
-
-    @property
-    def assessable(self) -> bool:
-        return all(o.status is not CheckStatus.NOT_ASSESSABLE for o in self.outcomes)
-
-    @property
-    def evidence(self) -> list[str]:
-        return [o.line for o in self.outcomes]
-
-
 def _request(
     http: HttpClient,
     comp: ComponentSpec,
     target: InjectTarget,
     value: str,
     token: Optional[str],
-    source: str,
 ):
     endpoint = comp.endpoints[0]
     query = urllib.parse.urlencode({target.param: value})
@@ -178,9 +158,7 @@ def _request(
         headers = [("Content-Type", "application/x-www-form-urlencoded")]
     if token:
         headers = list(headers) + [("Authorization", f"Bearer {token}")]
-    return http.request(
-        target.method.upper(), url, body=body, headers=headers, source=source
-    )
+    return http.request(target.method.upper(), url, body=body, headers=headers)
 
 
 def scan_inject_target(
@@ -189,17 +167,19 @@ def scan_inject_target(
     http: HttpClient,
     *,
     token: Optional[str] = None,
-    source: str = "external",
-) -> TargetVerdict:
+) -> list[Outcome]:
+    """DB-02's outcomes for one injection target."""
     label = f"{comp.id} {target.method.upper()} {target.path} param {target.param}"
+    return attempt(f"{label}: baseline request failed",
+                   lambda: _scan(comp, target, http, token, label))
+
+
+def _scan(comp: ComponentSpec, target: InjectTarget, http: HttpClient,
+          token: Optional[str], label: str) -> list[Outcome]:
     payloads = load_corpus()
-    try:
-        base_resp = _request(http, comp, target, target.baseline, token, source)
-    except WireError as exc:
-        return TargetVerdict([unassessable(f"{label}: baseline request failed ({exc})")])
+    base_resp = _request(http, comp, target, target.baseline, token)
     if base_resp.status >= 400:
-        return TargetVerdict([unassessable(
-            f"{label}: baseline request returned HTTP {base_resp.status}")])
+        return [unassessable(f"{label}: baseline request returned HTTP {base_resp.status}")]
     baseline = summarize_response(base_resp.status, base_resp.body)
     baseline_text = base_resp.body.decode("utf-8", errors="replace").lower()
 
@@ -209,8 +189,7 @@ def scan_inject_target(
     def fetch(payload: Payload):
         nonlocal dropped
         try:
-            return _request(http, comp, target, payload.rendered(target.baseline),
-                            token, source)
+            return _request(http, comp, target, payload.rendered(target.baseline), token)
         except WireError:
             dropped += 1
             return None
@@ -268,7 +247,7 @@ def scan_inject_target(
             f"{label}: no error signatures or boolean differentials across "
             f"{len(payloads)} payloads",
         ))
-    return TargetVerdict(outcomes)
+    return outcomes
 
 
 def check_sql_injection(
@@ -288,6 +267,5 @@ def check_sql_injection(
                 outcomes.append(unassessable(f"{comp.id}: no probe token could be minted"))
                 continue
             token = minted.compact()
-        verdict = scan_inject_target(comp, comp.inject, http, token=token)
-        outcomes.extend(verdict.outcomes)
+        outcomes += scan_inject_target(comp, comp.inject, http, token=token)
     return fold("DB-02", outcomes)

@@ -27,10 +27,12 @@ from cryptography import x509
 from cryptography.x509.oid import NameOID
 
 from .manifest import ComponentRole, Endpoint, TargetManifest
-from .results import CheckResult, CheckStatus, fold, judged, unassessable
+from .results import CheckResult, Outcome, attempt, fold, judged, unassessable
 
 REQUIRED_TLS_VERSION = "TLSv1.3"
 AT_REST_MARKERS = (b"ISA_RECORD",)
+# How long a probe waits for a listener's first bytes after connecting.
+BANNER_WAIT_S = 0.4
 
 
 class ClientCertDemand(enum.Enum):
@@ -79,7 +81,6 @@ def _handshake(
     ctx: ssl.SSLContext,
     source_address: Optional[str],
     timeout_s: float,
-    banner_wait_s: float,
 ) -> tuple[str, Optional[bytes], Optional[bytes]]:
     """Returns (version, peer_cert_der, banner). Raises
     _HandshakeRejected when the server refuses the offered parameters,
@@ -96,7 +97,7 @@ def _handshake(
         try:
             version = tls.version() or "unknown"
             der = tls.getpeercert(binary_form=True)
-            tls.settimeout(banner_wait_s)
+            tls.settimeout(BANNER_WAIT_S)
             try:
                 banner: Optional[bytes] = tls.recv(256)
             except (socket.timeout, TimeoutError):
@@ -119,7 +120,6 @@ def _plaintext_peek(
     endpoint: Endpoint,
     source_address: Optional[str],
     timeout_s: float,
-    banner_wait_s: float,
 ) -> Optional[bytes]:
     src = (source_address, 0) if source_address else None
     try:
@@ -129,7 +129,7 @@ def _plaintext_peek(
     except OSError:
         return None
     try:
-        sock.settimeout(banner_wait_s)
+        sock.settimeout(BANNER_WAIT_S)
         try:
             data = sock.recv(256)
         except (socket.timeout, TimeoutError, OSError):
@@ -158,7 +158,6 @@ def probe_tls(
     client_key: Optional[str] = None,
     source_address: Optional[str] = None,
     timeout_s: float = 5.0,
-    banner_wait_s: float = 0.4,
 ) -> TlsPosture:
     notes: list[str] = []
     try:
@@ -167,10 +166,9 @@ def probe_tls(
             _client_context(ca_path, client_cert, client_key, max_tls12=False),
             source_address,
             timeout_s,
-            banner_wait_s,
         )
     except _HandshakeRejected as exc:
-        plain = _plaintext_peek(endpoint, source_address, timeout_s, banner_wait_s)
+        plain = _plaintext_peek(endpoint, source_address, timeout_s)
         if plain is not None:
             return TlsPosture(
                 endpoint=endpoint,
@@ -191,7 +189,6 @@ def probe_tls(
             _client_context(ca_path, None, None, max_tls12=False),
             source_address,
             timeout_s,
-            banner_wait_s,
         )
         anonymous_accepted = True
     except (_HandshakeRejected, OSError):
@@ -217,7 +214,6 @@ def probe_tls(
             _client_context(ca_path, client_cert, client_key, max_tls12=True),
             source_address,
             timeout_s,
-            banner_wait_s,
         )
         accepts_legacy = True
         notes.append(f"legacy offer negotiated {legacy_version}")
@@ -247,6 +243,29 @@ def _identity_paths(manifest: TargetManifest) -> tuple[Optional[str], Optional[s
     return None, None
 
 
+def _posture_outcome(comp, label: str, posture: TlsPosture) -> Outcome:
+    if not posture.speaks_tls:
+        if posture.plaintext_banner is not None:
+            excerpt = posture.plaintext_banner[:40].decode("utf-8", errors="replace").strip()
+            return judged(True, f"{label}: plaintext channel (read: {excerpt!r})", comp.id)
+        return judged(True, f"{label}: no TLS service ({'; '.join(posture.notes)})", comp.id)
+    problems = []
+    if posture.negotiated_version != REQUIRED_TLS_VERSION:
+        problems.append(
+            f"negotiated {posture.negotiated_version}; required {REQUIRED_TLS_VERSION}"
+        )
+    if posture.accepts_legacy_offer:
+        problems.append("accepted a handshake offer capped at TLS 1.2")
+    if posture.client_cert_demand is not ClientCertDemand.REQUIRED:
+        problems.append(
+            f"client certificate not required ({posture.client_cert_demand.value})"
+        )
+    if problems:
+        return judged(True, f"{label}: " + "; ".join(problems), comp.id)
+    return judged(False, f"{label}: {posture.negotiated_version}, client certificate "
+                  "required, legacy offers rejected")
+
+
 def check_db_transport(
     manifest: TargetManifest, timeout_s: float = 5.0
 ) -> CheckResult:
@@ -256,51 +275,25 @@ def check_db_transport(
     for comp in manifest.by_role(ComponentRole.DB_NODE):
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
-            try:
-                posture = probe_tls(
-                    endpoint,
-                    ca_path=manifest.ca_path,
-                    client_cert=cert,
-                    client_key=key,
-                    source_address=source,
-                    timeout_s=timeout_s,
-                )
-            except OSError as exc:
-                outcomes.append(unassessable(
-                    f"{label}: unreachable from this vantage ({exc})"))
-                continue
-            if not posture.speaks_tls:
-                if posture.plaintext_banner is not None:
-                    excerpt = posture.plaintext_banner[:40].decode(
-                        "utf-8", errors="replace"
-                    ).strip()
-                    line = f"{label}: plaintext channel (read: {excerpt!r})"
-                else:
-                    line = f"{label}: no TLS service ({'; '.join(posture.notes)})"
-                outcomes.append(judged(True, line, comp.id))
-                continue
-            problems = []
-            if posture.negotiated_version != REQUIRED_TLS_VERSION:
-                problems.append(
-                    f"negotiated {posture.negotiated_version}; "
-                    f"required {REQUIRED_TLS_VERSION}"
-                )
-            if posture.accepts_legacy_offer:
-                problems.append("accepted a handshake offer capped at TLS 1.2")
-            if posture.client_cert_demand is not ClientCertDemand.REQUIRED:
-                problems.append(
-                    "client certificate not required "
-                    f"({posture.client_cert_demand.value})"
-                )
-            if problems:
-                outcomes.append(judged(True, f"{label}: " + "; ".join(problems), comp.id))
-            else:
-                outcomes.append(judged(
-                    False,
-                    f"{label}: {posture.negotiated_version}, client certificate "
-                    "required, legacy offers rejected",
-                ))
+            outcomes += attempt(label, lambda: [_posture_outcome(comp, label, probe_tls(
+                endpoint, ca_path=manifest.ca_path, client_cert=cert, client_key=key,
+                source_address=source, timeout_s=timeout_s,
+            ))])
     return fold("DB-01", outcomes)
+
+
+def _stored_bytes(comp) -> list[Outcome]:
+    """DB-03's outcome for one node's declared storage file."""
+    with open(comp.storage_path, "rb") as fh:
+        blob = fh.read()
+    hit = next((m for m in AT_REST_MARKERS if m in blob), None)
+    if hit is not None:
+        return [judged(True, f"{comp.id}: plaintext marker "
+                       f"{hit.decode('utf-8', errors='replace')!r} found in stored bytes",
+                       comp.id)]
+    marker_names = ", ".join(m.decode("utf-8", errors="replace") for m in AT_REST_MARKERS)
+    return [judged(False, f"{comp.id}: stored bytes contain no plaintext markers "
+                   f"(checked: {marker_names})")]
 
 
 def check_data_at_rest(manifest: TargetManifest) -> list[CheckResult]:
@@ -311,34 +304,11 @@ def check_data_at_rest(manifest: TargetManifest) -> list[CheckResult]:
             if manifest.mode != "introspective"
             else "no storage path declared for any database node"
         )
-        return [
-            CheckResult("DB-03", CheckStatus.NOT_ASSESSABLE, [reason]),
-            CheckResult("DB-04", CheckStatus.NOT_ASSESSABLE, [reason]),
-        ]
+        return [fold(check_id, [unassessable(reason)]) for check_id in ("DB-03", "DB-04")]
 
-    marker_names = ", ".join(m.decode("utf-8", errors="replace") for m in AT_REST_MARKERS)
     db03 = []
     for comp in inspectable:
-        try:
-            with open(comp.storage_path, "rb") as fh:
-                blob = fh.read()
-        except OSError:
-            db03.append(unassessable(f"{comp.id}: declared storage path not readable"))
-            continue
-        hit = next((m for m in AT_REST_MARKERS if m in blob), None)
-        if hit is not None:
-            db03.append(judged(
-                True,
-                f"{comp.id}: plaintext marker "
-                f"{hit.decode('utf-8', errors='replace')!r} found in stored bytes",
-                comp.id,
-            ))
-        else:
-            db03.append(judged(
-                False,
-                f"{comp.id}: stored bytes contain no plaintext markers "
-                f"(checked: {marker_names})",
-            ))
+        db03 += attempt(f"{comp.id} declared storage path", lambda: _stored_bytes(comp))
 
     db04 = []
     for comp in inspectable:

@@ -1,12 +1,14 @@
 """HTTP/TLS transport for probes.
 
 One connection per request (Connection: close) so probes never share sockets,
-with per-request control over three things ordinary HTTP clients hide:
+with per-request control over two things ordinary HTTP clients hide:
 
 - source address binding, to present either the scanner's plain ("external")
   vantage or a declared allowlisted vantage;
-- whether the configured client certificate is offered during the handshake;
-- whether the server certificate is verified against the target's CA.
+- whether the configured client certificate is offered during the handshake.
+
+The server certificate is verified against the target's CA whenever one is
+configured.
 
 Redirects are never followed; probes inspect Location headers themselves.
 """
@@ -51,6 +53,14 @@ class HttpResponse:
     def json(self) -> Any:
         return json.loads(self.body.decode("utf-8"))
 
+    def json_object(self) -> Optional[dict]:
+        """The body as a JSON object; None for anything else."""
+        try:
+            doc = self.json()
+        except ValueError:
+            return None
+        return doc if isinstance(doc, dict) else None
+
     def text(self) -> str:
         return self.body.decode("utf-8", errors="replace")
 
@@ -71,14 +81,14 @@ class HttpClient:
         self.client_key = client_key
         self.allowlisted_source = allowlisted_source
         self.timeout_s = timeout_s
-        self._contexts: dict[tuple[bool, bool], ssl.SSLContext] = {}
+        self._contexts: dict[bool, ssl.SSLContext] = {}
 
     # -- TLS context cache -------------------------------------------------
 
-    def _context(self, verify: bool, with_cert: bool) -> ssl.SSLContext:
-        key = (verify, with_cert)
-        if key not in self._contexts:
-            if verify:
+    def _context(self, with_cert: bool) -> ssl.SSLContext:
+        """The server certificate is verified whenever a CA is configured."""
+        if with_cert not in self._contexts:
+            if self.ca_path is not None:
                 ctx = ssl.create_default_context(cafile=self.ca_path)
                 ctx.check_hostname = False  # targets are addressed by IP
             else:
@@ -89,8 +99,8 @@ class HttpClient:
                 if not (self.client_cert and self.client_key):
                     raise WireError("client certificate requested but not configured")
                 ctx.load_cert_chain(self.client_cert, self.client_key)
-            self._contexts[key] = ctx
-        return self._contexts[key]
+            self._contexts[with_cert] = ctx
+        return self._contexts[with_cert]
 
     def _source_address(self, source: str) -> Optional[tuple[str, int]]:
         if source == "external":
@@ -113,11 +123,8 @@ class HttpClient:
         headers: Optional[dict] = None,
         source: str = "external",
         present_client_cert: bool = False,
-        verify_tls: Optional[bool] = None,
         max_retries: int = 0,
     ) -> HttpResponse:
-        if verify_tls is None:
-            verify_tls = self.ca_path is not None
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https"):
             raise WireError(f"unsupported scheme in {url!r}")
@@ -139,7 +146,7 @@ class HttpClient:
             try:
                 return self._one_request(
                     parts.scheme, host, port, method, path, body, send_headers,
-                    source, present_client_cert, verify_tls,
+                    source, present_client_cert,
                 )
             except WireError:
                 if attempt >= max_retries:
@@ -158,7 +165,6 @@ class HttpClient:
         headers: dict,
         source: str,
         present_client_cert: bool,
-        verify_tls: bool,
     ) -> HttpResponse:
         source_address = self._source_address(source)
         try:
@@ -168,7 +174,7 @@ class HttpClient:
                     port,
                     timeout=self.timeout_s,
                     source_address=source_address,
-                    context=self._context(verify_tls, present_client_cert),
+                    context=self._context(present_client_cert),
                 )
             else:
                 conn = http.client.HTTPConnection(

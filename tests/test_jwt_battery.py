@@ -1,11 +1,13 @@
 """The live JWT battery: each check stands on its own evidence."""
 
+import pytest
+
 from utmaudit import jwtkit
 from utmaudit.engine import REGISTRY
 from utmaudit.oauthaudit import make_mint
 from utmaudit.results import CheckStatus
 from utmaudit.testbed.harness import start_testbed
-from utmaudit.wire import HttpClient, WireError
+from utmaudit.wire import HttpClient, HttpResponse, WireError
 
 JWT_IDS = [d.check_id for d in REGISTRY if d.area == "JWT"]
 
@@ -78,3 +80,72 @@ def test_malformed_jwks_costs_only_the_confusion_check(secure_testbed, secure_au
         if check_id != "JWT-07":
             assert result.status is expected[check_id].status, check_id
             assert result.evidence == expected[check_id].evidence, check_id
+
+
+class _AnonymousReadsAllowed(HttpClient):
+    """Answers 200 to every request without an Authorization header, as if
+    every declared service admitted anonymous callers."""
+
+    def request(self, method, url, **kwargs):
+        if "Authorization" not in (kwargs.get("headers") or {}):
+            return HttpResponse(200, [], b"{}")
+        return super().request(method, url, **kwargs)
+
+
+def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
+    secure_testbed,
+):
+    manifest = secure_testbed.manifest
+    mint = make_mint(manifest, _client(manifest))
+    anchor = jwtkit.token_services(manifest)[0]
+    live = mint(scope=anchor.read.scope, audience=anchor.audience)
+    ids = ["JWT-02", "JWT-05", "JWT-06", "JWT-07", "JWT-09"]
+    results = jwtkit.run_jwt_battery(
+        manifest, live, http=_client(manifest, _AnonymousReadsAllowed),
+        mint=mint, wanted=ids,
+    )
+    services = jwtkit.token_services(manifest)
+    for result in results:
+        assert result.status is CheckStatus.NOT_ASSESSABLE, result
+        assert result.evidence[:-1] == [
+            f"{c.id} {c.read.method} {c.read.path}: accepts anonymous requests; "
+            "token validation not exercised there"
+            for c in services
+        ], result
+        assert result.evidence[-1] == (
+            "no token-demanding action remains to present a token to"
+        ), result
+
+
+class _JwksUnreadable(HttpClient):
+    """The declared JWKS path answers 503, or fails at transport level."""
+
+    def __init__(self, *args, jwks_url, fault, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.jwks_url = jwks_url
+        self.fault = fault
+
+    def request(self, method, url, **kwargs):
+        if url != self.jwks_url:
+            return super().request(method, url, **kwargs)
+        if self.fault == "503":
+            return HttpResponse(503, [], b"unavailable")
+        raise WireError(f"{method} {url}: timed out")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("503", "HTTP 503"),
+    ("transport", "GET {url}: timed out"),
+])
+def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reason):
+    manifest = secure_testbed.manifest
+    server = manifest.oauth_server()
+    url = server.primary_endpoint().url(server.jwks_path)
+    http = _client(manifest, _JwksUnreadable, jwks_url=url, fault=fault)
+    results = _battery(manifest, http, ["JWT-04", "JWT-07"])
+    assert results["JWT-04"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["JWT-04"].evidence[-1] == (
+        f"{server.id} JWKS {server.jwks_path}: " + reason.format(url=url)
+    )
+    assert "no JWKS document published" not in results["JWT-04"].evidence
+    assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE

@@ -3,7 +3,12 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from utmaudit.results import CheckResult, CheckStatus, Outcome, fold, run_checks
+import pytest
+
+from utmaudit.results import (
+    CheckResult, CheckStatus, Outcome, attempt, fold, judged, run_checks, unassessable,
+)
+from utmaudit.wire import WireError
 
 outcomes = st.lists(
     st.builds(
@@ -49,11 +54,25 @@ def test_run_checks_isolates_each_check_and_keeps_order():
             ("LOG-01", lambda: CheckResult("LOG-01", CheckStatus.PASS, ["ok"])),
             ("LOG-03", boom),
             ("LOG-02", lambda: CheckResult("LOG-02", CheckStatus.PASS, ["unwanted"])),
-            ("LOG-04", lambda: CheckResult("LOG-04", CheckStatus.SKIPPED, ["n/a"])),
         ],
     )
-    assert [r.check_id for r in results] == ["LOG-01", "LOG-03", "LOG-04"]
+    assert [r.check_id for r in results] == ["LOG-01", "LOG-03"]
     assert results[0].status is CheckStatus.PASS
     assert results[1].status is CheckStatus.NOT_ASSESSABLE
     assert results[1].evidence == ["probe aborted: KeyError: 'n'"]
-    assert results[2].duration_ms == 0
+
+
+def test_attempt_turns_one_transport_error_into_its_own_line():
+    def down():
+        raise WireError("GET https://gw/: timed out")
+
+    def refused():
+        raise ConnectionRefusedError("refused")
+
+    passed = [judged(False, "ok")]
+    assert attempt("gw", lambda: passed) == passed
+    assert attempt("gw", down) == [unassessable("gw: GET https://gw/: timed out")]
+    assert attempt(None, down) == [unassessable("GET https://gw/: timed out")]
+    assert attempt("db", refused) == [unassessable("db: refused")]
+    with pytest.raises(KeyError):
+        attempt("gw", lambda: {}["missing"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from utmaudit.manifest import parse_manifest
-from utmaudit.results import CheckStatus
+from utmaudit.results import CheckStatus, fold
 from utmaudit.sqliprobe import (
     CorpusError,
     Payload,
@@ -194,9 +194,9 @@ def test_concatenating_route_is_flagged(isa_server):
     port = isa_server(concat=True)
     manifest = _manifest(port)
     comp = manifest.component("gw")
-    verdict = scan_inject_target(comp, comp.inject, HttpClient())
-    assert verdict.vulnerable
-    joined = "\n".join(verdict.evidence)
+    result = fold("DB-02", scan_inject_target(comp, comp.inject, HttpClient()))
+    assert result.status is CheckStatus.FAIL
+    joined = "\n".join(result.evidence)
     assert "error signature" in joined
     assert "boolean differential" in joined
 
@@ -205,10 +205,9 @@ def test_parameterized_route_is_clean(isa_server):
     port = isa_server(concat=False)
     manifest = _manifest(port)
     comp = manifest.component("gw")
-    verdict = scan_inject_target(comp, comp.inject, HttpClient())
-    assert not verdict.vulnerable
-    assert verdict.assessable
-    assert any("no error signatures" in line for line in verdict.evidence)
+    result = fold("DB-02", scan_inject_target(comp, comp.inject, HttpClient()))
+    assert result.status is CheckStatus.PASS
+    assert any("no error signatures" in line for line in result.evidence)
 
 
 def test_check_fails_on_vulnerable_gateway(isa_server):
@@ -238,7 +237,7 @@ def test_scan_repeats_identically(isa_server):
     comp = manifest.component("gw")
     first = scan_inject_target(comp, comp.inject, HttpClient())
     second = scan_inject_target(comp, comp.inject, HttpClient())
-    assert first.evidence == second.evidence
+    assert first == second
 
 
 class _PayloadResetHandler(_IsaHandler):

@@ -178,6 +178,8 @@ def test_db_transport_unreachable_is_not_assessable(pki):
     port = _free_port()
     result = check_db_transport(_manifest_for(port, pki), timeout_s=1.0)
     assert result.status is CheckStatus.NOT_ASSESSABLE
+    [line] = result.evidence
+    assert line.startswith(f"db tcp://127.0.0.1:{port}: "), line
 
 
 def test_data_at_rest_plaintext_marker(tmp_path, pki):
