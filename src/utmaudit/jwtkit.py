@@ -476,11 +476,10 @@ def _check_expired(
 def _check_algorithm(live_token: SignedToken) -> CheckResult:
     alg = live_token.header.get("alg")
     outside = alg not in ALLOWED_ALGS
+    allowed = ", ".join(sorted(ALLOWED_ALGS))
+    word = "outside allowed set" if outside else "allowed set"
     return fold("JWT-03", [judged(
-        outside,
-        f"issued token header alg = {alg}; {'outside allowed set' if outside else 'allowed set'}: "
-        + ", ".join(sorted(ALLOWED_ALGS)),
-    )])
+        outside, f"issued token header alg = {alg}; {word}: {allowed}")])
 
 
 def _check_key_exposure(
