@@ -1,6 +1,7 @@
 """Manifest parsing, validation, rendering, and zone mapping."""
 
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,17 @@ def test_digest_stable_across_forms():
     assert manifest_digest(m) == manifest_digest(via_json)
     other = parse_manifest(MINIMAL.replace(b"8443", b"9443"))
     assert manifest_digest(m) != manifest_digest(other)
+
+
+# Every report carries this digest, so its bytes are part of the report.
+PACKAGED_DIGEST = "86ceb36b49a67d852024bacd78da78005a08c422cc7ea9c1dfeeabdae990f7be"
+
+
+def test_digest_of_packaged_example_is_pinned():
+    data = (resources.files("utmaudit") / "data" / "testbed.manifest").read_bytes()
+    m = parse_manifest(data)
+    assert manifest_digest(m) == PACKAGED_DIGEST
+    assert manifest_digest(parse_manifest(render_json(m).encode())) == PACKAGED_DIGEST
 
 
 # ---------------------------------------------------------------------------
