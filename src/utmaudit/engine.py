@@ -390,9 +390,7 @@ def run_audit(
         ca_path=manifest.ca_path,
         client_cert=manifest.oauth_client.certificate,
         client_key=manifest.oauth_client.key,
-        allowlisted_source=(
-            manifest.allowlist_sources[0] if manifest.allowlist_sources else None
-        ),
+        allowlisted_source=manifest.allowlisted_source,
     )
     mint = make_mint(manifest, http)
 

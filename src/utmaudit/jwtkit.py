@@ -24,7 +24,7 @@ from typing import Callable, Collection, Optional
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
-from .manifest import ComponentSpec, TargetManifest, Zone, expected_zone
+from .manifest import ComponentSpec, TargetManifest, Zone, expected_zone, vantage
 from .results import (
     CheckResult, Outcome, attempt, fold, judged, note, run_checks, unassessable,
 )
@@ -277,12 +277,6 @@ def token_services(manifest: TargetManifest) -> list[ComponentSpec]:
     ]
 
 
-def _source_for(http: HttpClient, comp: ComponentSpec) -> str:
-    if expected_zone(comp.role) is Zone.RESTRICTED and http.allowlisted_source:
-        return "allowlisted"
-    return "external"
-
-
 def _presented(
     http: HttpClient,
     comp: ComponentSpec,
@@ -301,7 +295,7 @@ def _presented(
             comp.primary_endpoint().url(path),
             body=body,
             headers={"Authorization": f"Bearer {token}"},
-            source=_source_for(http, comp),
+            source=vantage(comp, http.allowlisted_source),
         )
         accepted = 200 <= resp.status < 300
         word = "accepted" if accepted else "rejected"
@@ -328,7 +322,7 @@ def _rejects_anonymous(
     """
     try:
         resp = http.request(method, comp.primary_endpoint().url(path), body=body,
-                            source=_source_for(http, comp))
+                            source=vantage(comp, http.allowlisted_source))
     except WireError:
         return None
     return not (200 <= resp.status < 300)
@@ -393,7 +387,8 @@ def run_jwt_battery(
         ("JWT-06", lambda: _check_forgeries(
             "JWT-06", enforcing, notes, baseline, http,
             [SetAlgNone()], "alg=none token rejected everywhere")),
-        ("JWT-07", lambda: _check_confusion(enforcing, notes, baseline, http, keys)),
+        ("JWT-07", lambda: _check_confusion(
+            enforcing, notes, baseline, http, keys, unreadable)),
         ("JWT-08", lambda: _check_scope(services, baseline, http)),
         ("JWT-09", lambda: _check_audience(services, enforcing, notes, http, mint)),
         ("JWT-10", lambda: _check_web_token_storage(manifest, http)),
@@ -417,7 +412,13 @@ def _fetch_jwks(
         if resp.status != 200:
             return [unassessable(f"{label}: HTTP {resp.status}")]
         doc = resp.json_object()
-        return [] if doc is not None else [unassessable(f"{label}: not a JSON object")]
+        if doc is None:
+            return [unassessable(f"{label}: not a JSON object")]
+        keys = doc.get("keys", [])
+        if not isinstance(keys, list) or not all(isinstance(k, dict) for k in keys):
+            doc = None
+            return [unassessable(f"{label}: keys is not a list of objects")]
+        return []
 
     unreadable = attempt(label, fetch)
     return doc, unreadable
@@ -555,9 +556,12 @@ def _check_confusion(
     baseline: Callable[[ComponentSpec], Optional[SignedToken]],
     http: HttpClient,
     keys: Optional[dict],
+    unreadable: list[Outcome],
 ) -> CheckResult:
     if not services:
         return fold("JWT-07", notes + [unassessable(_NO_ENFORCING)])
+    if unreadable:
+        return fold("JWT-07", notes + unreadable)
     rsa_keys = [e for e in (keys or {}).get("keys", []) if e.get("kty") == "RSA"]
     if not rsa_keys:
         return fold("JWT-07", notes + [unassessable(
@@ -644,7 +648,7 @@ _STORAGE_PATTERN = re.compile(r"localStorage\s*\.\s*setItem|window\.localStorage
 def _page_storage(http: HttpClient, comp: ComponentSpec) -> list[Outcome]:
     """JWT-10's outcomes for one web application's landing page."""
     resp = http.request("GET", comp.primary_endpoint().url("/"),
-                        source=_source_for(http, comp))
+                        source=vantage(comp, http.allowlisted_source))
     outcomes = []
     for cookie in resp.header_all("Set-Cookie"):
         cookie_name = cookie.split("=", 1)[0].strip()

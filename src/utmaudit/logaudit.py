@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Collection, Optional
 
-from .manifest import ComponentRole, TargetManifest, Zone, expected_zone
+from .manifest import ComponentRole, TargetManifest, vantage
 from .results import (
     CheckResult, CheckStatus, Outcome, attempt, fold, judged, note, run_checks,
     unassessable, uniform,
@@ -128,14 +128,8 @@ def check_logs(
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
                        f"{repo.id}: no read action declared")
 
-    source = (
-        "allowlisted"
-        if expected_zone(repo.role) is Zone.RESTRICTED and http.allowlisted_source
-        else "external"
-    )
-    endpoint = repo.primary_endpoint()
-    base_url = f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}"
-    read_url = base_url + repo.read.path
+    source = vantage(repo, http.allowlisted_source)
+    read_url = repo.primary_endpoint().url(repo.read.path)
 
     read_token = mint(scope=repo.read.scope, audience=repo.audience)
     if read_token is None:
@@ -158,9 +152,9 @@ def check_logs(
     # write-probing can disturb repository state.
     return run_checks(wanted, [
         ("LOG-01", lambda: _check_granularity(manifest, repo, chain)),
-        ("LOG-03", lambda: _check_chain(repo, chain, mint, http, base_url, source)),
-        ("LOG-02", lambda: _check_worm(repo, mint, http, base_url, source)),
-        ("LOG-04", lambda: _check_access(repo, read_url, auth, http)),
+        ("LOG-03", lambda: _check_chain(repo, chain, mint, http, source)),
+        ("LOG-02", lambda: _check_worm(repo, mint, http, source)),
+        ("LOG-04", lambda: _check_access(repo, read_url, auth, http, source)),
     ])
 
 
@@ -193,7 +187,7 @@ def _check_granularity(
 
 
 def _check_chain(
-    repo, chain: Optional[LogChain], mint, http: HttpClient, base_url: str, source: str
+    repo, chain: Optional[LogChain], mint, http: HttpClient, source: str
 ) -> CheckResult:
     if chain is None:
         return _unreadable_listing("LOG-03", repo)
@@ -216,7 +210,7 @@ def _check_chain(
              "link": "00" * 32}
         ).encode("utf-8")
         resp = http.request(
-            "POST", base_url + repo.write.path, body=body,
+            "POST", repo.primary_endpoint().url(repo.write.path), body=body,
             headers={"Authorization": f"Bearer {write_token.compact()}"},
             source=source,
         )
@@ -230,7 +224,7 @@ def _check_chain(
     return fold("LOG-03", outcomes)
 
 
-def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> CheckResult:
+def _check_worm(repo, mint, http: HttpClient, source: str) -> CheckResult:
     if not repo.write:
         return fold("LOG-02", [unassessable(
             f"{repo.id}: no write action declared for probing")])
@@ -254,8 +248,8 @@ def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> Che
         return [judged(False, f"{label} attempt rejected: HTTP {resp.status}")]
 
     def append_then_mutate() -> list[Outcome]:
-        resp = http.request("POST", base_url + repo.write.path, body=body,
-                            headers=auth, source=source)
+        resp = http.request("POST", repo.primary_endpoint().url(repo.write.path),
+                            body=body, headers=auth, source=source)
         if resp.status not in (200, 201):
             return [unassessable(f"sacrificial append rejected (HTTP {resp.status}); "
                                  "mutation probing has no safe target")]
@@ -265,7 +259,7 @@ def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> Che
                 "sacrificial append answered with a body that is not a JSON object; "
                 "the record to mutate is unknown")]
         outcomes = [note("sacrificial record appended for mutation probing")]
-        record_url = f"{base_url}{repo.write.path}/{appended.get('seq')}"
+        record_url = repo.primary_endpoint().url(f"{repo.write.path}/{appended.get('seq')}")
         for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
             outcomes += attempt(f"{label} attempt failed at transport level",
                                 lambda: mutate(record_url, method, label))
@@ -274,14 +268,12 @@ def _check_worm(repo, mint, http: HttpClient, base_url: str, source: str) -> Che
     return fold("LOG-02", attempt(repo.id, append_then_mutate))
 
 
-def _check_access(repo, read_url: str, auth: dict, http: HttpClient) -> CheckResult:
+def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
+                  source: str) -> CheckResult:
     # A read refused at transport level is refused access, so it passes.
     outcomes = []
     try:
-        resp = http.request(
-            "GET", read_url,
-            source="allowlisted" if http.allowlisted_source else "external",
-        )
+        resp = http.request("GET", read_url, source=source)
         if resp.status == 200:
             outcomes.append(judged(
                 True, "records readable without authorization: HTTP 200", repo.id))
@@ -293,7 +285,7 @@ def _check_access(repo, read_url: str, auth: dict, http: HttpClient) -> CheckRes
             False, f"unauthenticated read refused at transport level: {exc}"))
 
     unassessed = note("external-vantage separation not assessable from this host")
-    if http.allowlisted_source:
+    if source == "allowlisted":
         try:
             resp = http.request("GET", read_url, headers=auth, source="external")
             if resp.status == 200:

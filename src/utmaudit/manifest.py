@@ -4,29 +4,31 @@ The manifest is the single input every probe trusts. It is written by the
 maintaining authority (who knows its inventory; there is no discovery),
 either as a flat INI-style text file or as the equivalent JSON document.
 Parsed manifests are immutable and safe to share across concurrent probes.
+
+The dataclasses are the schema: the keys of ``[target]``, ``[client]`` and
+``[component <id>]`` are the fields of ``TargetManifest``, ``OAuthClient``
+and ``ComponentSpec``. Parsing, both renderings and the digest iterate
+those fields; only the value kinds that are not plain text have a parser.
 """
 
 from __future__ import annotations
 
 import configparser
 import enum
+import functools
 import hashlib
-import io
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, NewType, Optional, get_type_hints
 
 DEFAULT_REQUIRED_LOG_FIELDS = (
-    "timestamp",
-    "actor_id",
-    "token_subject",
-    "action",
-    "resource",
-    "outcome",
+    "timestamp", "actor_id", "token_subject", "action", "resource", "outcome",
 )
 
 VALID_SCHEMES = ("http", "https", "tcp")
 VALID_MODES = ("remote", "introspective")
+# A target mode: one of VALID_MODES.
+Mode = NewType("Mode", str)
 
 
 class ManifestError(ValueError):
@@ -51,22 +53,18 @@ class Zone(enum.Enum):
 
 # Interoperability requires the OAuth server, gateways, and public web apps
 # to be exposed; log stores, key management, database nodes, and service
-# management interfaces must not be.
-_ZONE_BY_ROLE = {
-    ComponentRole.OAUTH_SERVER: Zone.PUBLIC,
-    ComponentRole.HTTPS_GATEWAY: Zone.PUBLIC,
-    ComponentRole.WEB_APP_PUBLIC: Zone.PUBLIC,
-    ComponentRole.LOG_REPOSITORY: Zone.RESTRICTED,
-    ComponentRole.KEY_MANAGEMENT: Zone.RESTRICTED,
-    ComponentRole.DB_NODE: Zone.RESTRICTED,
-    ComponentRole.WEB_APP_ADMIN: Zone.RESTRICTED,
-    ComponentRole.USS_MOCK: Zone.PUBLIC,
-}
+# management interfaces must not be. Every other role is public.
+_RESTRICTED_ROLES = frozenset({
+    ComponentRole.LOG_REPOSITORY,
+    ComponentRole.KEY_MANAGEMENT,
+    ComponentRole.DB_NODE,
+    ComponentRole.WEB_APP_ADMIN,
+})
 
 
 def expected_zone(role: ComponentRole) -> Zone:
     """Visibility zone a component of this role must live in."""
-    return _ZONE_BY_ROLE[role]
+    return Zone.RESTRICTED if role in _RESTRICTED_ROLES else Zone.PUBLIC
 
 
 @dataclass(frozen=True)
@@ -82,18 +80,13 @@ class Endpoint:
 
     @staticmethod
     def parse(text: str) -> "Endpoint":
-        try:
-            scheme, rest = text.split("://", 1)
-        except ValueError:
+        scheme, separator, rest = text.partition("://")
+        if not separator:
             raise ManifestError(f"endpoint {text!r}: expected scheme://host:port[/path]")
         if scheme not in VALID_SCHEMES:
             raise ManifestError(f"endpoint {text!r}: scheme must be one of {VALID_SCHEMES}")
-        path = ""
-        if "/" in rest:
-            hostport, path = rest.split("/", 1)
-            path = "/" + path
-        else:
-            hostport = rest
+        hostport, slash, tail = rest.partition("/")
+        path = slash + tail
         if ":" not in hostport:
             raise ManifestError(f"endpoint {text!r}: missing port")
         host, port_s = hostport.rsplit(":", 1)
@@ -139,20 +132,13 @@ class InjectTarget:
     @staticmethod
     def parse(text: str) -> "InjectTarget":
         parts = text.split()
-        if (
-            len(parts) != 4
-            or not parts[2].startswith("param=")
-            or not parts[3].startswith("baseline=")
-        ):
+        names = ("param=", "baseline=")
+        if len(parts) != 4 or not all(map(str.startswith, parts[2:], names)):
             raise ManifestError(
                 f"inject {text!r}: expected 'METHOD /path param=NAME baseline=VALUE'"
             )
-        return InjectTarget(
-            method=parts[0].upper(),
-            path=parts[1],
-            param=parts[2][len("param="):],
-            baseline=parts[3][len("baseline="):],
-        )
+        param, baseline = (part[len(name):] for part, name in zip(parts[2:], names))
+        return InjectTarget(parts[0].upper(), parts[1], param, baseline)
 
     def render(self) -> str:
         return f"{self.method} {self.path} param={self.param} baseline={self.baseline}"
@@ -200,11 +186,17 @@ class OAuthClient:
 class TargetManifest:
     components: tuple[ComponentSpec, ...]
     oauth_client: OAuthClient
+    mode: Mode = Mode("remote")
     allowlist_sources: tuple[str, ...] = ()
-    mode: str = "remote"
     required_log_fields: tuple[str, ...] = DEFAULT_REQUIRED_LOG_FIELDS
     ca_path: Optional[str] = None
     audit_fixture: bool = False
+
+    @property
+    def allowlisted_source(self) -> Optional[str]:
+        """The source address allowlisted-vantage probes bind: the first
+        allowlist entry."""
+        return self.allowlist_sources[0] if self.allowlist_sources else None
 
     def component(self, component_id: str) -> ComponentSpec:
         for comp in self.components:
@@ -219,44 +211,120 @@ class TargetManifest:
         return self.by_role(ComponentRole.OAUTH_SERVER)[0]
 
     def web_apps(self) -> tuple[ComponentSpec, ...]:
-        return tuple(
-            c
-            for c in self.components
-            if c.role in (ComponentRole.WEB_APP_PUBLIC, ComponentRole.WEB_APP_ADMIN)
-        )
+        roles = (ComponentRole.WEB_APP_PUBLIC, ComponentRole.WEB_APP_ADMIN)
+        return tuple(c for c in self.components if c.role in roles)
 
     def extra_grant_types(self) -> tuple[str, ...]:
         return tuple(g for g in self.oauth_client.grant_types if g != "client_credentials")
 
 
+def vantage(comp: ComponentSpec, allowlisted_source: Optional[str]) -> str:
+    """The vantage a probe of ``comp`` is sent from: a restricted component
+    from the allowlisted source when one is bound, anything else from the
+    scanner's plain ("external") vantage."""
+    restricted = expected_zone(comp.role) is Zone.RESTRICTED
+    return "allowlisted" if restricted and allowlisted_source else "external"
+
+
 # ---------------------------------------------------------------------------
-# Parsing
+# Schema and parsing
 # ---------------------------------------------------------------------------
 
-_TARGET_KEYS = {"mode", "allowlist", "required_log_fields", "ca", "audit_fixture"}
-_CLIENT_KEYS = {
-    "client_id",
-    "client_secret",
-    "certificate",
-    "key",
-    "entitled_scopes",
-    "grant_types",
+# Fields that are no key of their section: a component's id is its section
+# suffix, and the manifest's components and client are sections of their own.
+_NOT_KEYS = ("id", "components", "oauth_client")
+# The two keys whose names differ from their fields.
+_KEY_OF = {"allowlist_sources": "allowlist", "ca_path": "ca"}
+
+
+@functools.cache
+def schema(model: type) -> tuple[tuple[str, str, Any, bool], ...]:
+    """(key, field name, field type, required) of each key of one section's
+    model, in declaration order."""
+    hints = get_type_hints(model)
+    return tuple(
+        (_KEY_OF.get(f.name, f.name), f.name, hints[f.name], f.default is MISSING)
+        for f in fields(model)
+        if f.name not in _NOT_KEYS
+    )
+
+
+def _text(value: Any) -> str:
+    """A value in flat-text form: a field's INI value, or a JSON value read as text."""
+    if isinstance(value, (tuple, list)):
+        return " ".join(_text(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, ComponentRole):
+        return value.value
+    if isinstance(value, Endpoint):
+        return value.url()
+    if isinstance(value, (ApiAction, InjectTarget)):
+        return value.render()
+    return str(value)
+
+
+def _mode(text: str, key: str, where: str) -> Mode:
+    if text not in VALID_MODES:
+        raise ManifestError(f"{key} {text!r} must be one of {VALID_MODES}")
+    return Mode(text)
+
+
+def _flag(text: str, key: str, where: str) -> bool:
+    word = text.lower()
+    if word not in ("true", "false"):
+        raise ManifestError(f"{key} {word!r} must be true or false")
+    return word == "true"
+
+
+def _integer(text: str, key: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ManifestError(f"{where}: {key} must be an integer") from None
+
+
+def _role(text: Optional[str], key: str, where: str) -> ComponentRole:
+    try:
+        return ComponentRole(text)
+    except ValueError:
+        valid = ", ".join(r.value for r in ComponentRole)
+        raise ManifestError(f"{where}: {key} {text!r} must be one of: {valid}") from None
+
+
+# The parser of each value kind that is not plain text, by field type. It
+# takes the key's text (None for a required key that is absent), the key and
+# the section, and returns the value, or None for the model's default. Plain
+# text reads "" as absent.
+_PARSERS: dict[Any, Callable[[Any, str, str], Any]] = {
+    Mode: _mode,
+    bool: _flag,
+    tuple[str, ...]: lambda text, key, where: tuple(text.split()) or None,
+    Optional[int]: _integer,
+    ComponentRole: _role,
+    tuple[Endpoint, ...]: lambda text, key, where: tuple(map(Endpoint.parse, (text or "").split())),
+    Optional[ApiAction]: lambda text, key, where: ApiAction.parse(text, key) if text else None,
+    Optional[InjectTarget]: lambda text, key, where: InjectTarget.parse(text) if text else None,
 }
-_COMPONENT_KEYS = {
-    "role",
-    "endpoints",
-    "declared_encryption_at_rest",
-    "declared_token_lifetime_s",
-    "storage_path",
-    "audience",
-    "token_path",
-    "authorize_path",
-    "jwks_path",
-    "read",
-    "write",
-    "write_body",
-    "inject",
-}
+
+
+def _values(model: type, items: dict, where: str) -> dict[str, Any]:
+    """The field values one section's keys give. An absent key keeps the
+    model's default; a required one must be given."""
+    keys = [key for key, *_ in schema(model)]
+    for key in items:
+        if key not in keys:
+            raise ManifestError(f"unknown key {key!r} in section [{where}]")
+    values = {}
+    for key, name, kind, required in schema(model):
+        if key in items or required:
+            parse = _PARSERS.get(kind, lambda text, *_: text or None)
+            value = parse(items.get(key), key, where)
+            if value is not None:
+                values[name] = value
+            elif required:
+                raise ManifestError(f"{where}.{key} is required")
+    return values
 
 
 def parse_manifest(data: bytes) -> TargetManifest:
@@ -294,149 +362,60 @@ def _from_ini(text: str) -> TargetManifest:
     except configparser.Error as exc:
         raise ManifestError(f"manifest syntax: {exc}") from None
 
-    target: dict = {}
-    client: dict = {}
-    components: list[dict] = []
-    for section in parser.sections():
-        items = dict(parser.items(section))
-        if section == "target":
-            _reject_unknown(items, _TARGET_KEYS, "target")
-            target = items
-        elif section == "client":
-            _reject_unknown(items, _CLIENT_KEYS, "client")
-            client = items
-        elif section.startswith("component "):
-            comp_id = section[len("component "):].strip()
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    components = []
+    for name, items in sections.items():
+        if name.startswith("component "):
+            comp_id = name[len("component "):].strip()
             if not comp_id:
                 raise ManifestError("component section with empty id")
-            _reject_unknown(items, _COMPONENT_KEYS, section)
-            items["id"] = comp_id
-            components.append(items)
-        else:
-            raise ManifestError(f"unknown section [{section}]")
-    return _assemble(target, client, components)
+            components.append((comp_id, items))
+        elif name not in ("target", "client"):
+            raise ManifestError(f"unknown section [{name}]")
+    return _assemble(sections.get("target", {}), sections.get("client", {}), components)
 
 
-def _from_json(doc: dict) -> TargetManifest:
+def _from_json(doc: Any) -> TargetManifest:
     if not isinstance(doc, dict):
         raise ManifestError("manifest JSON must be an object")
-    target = dict(doc.get("target") or {})
-    client = dict(doc.get("client") or {})
-    components = []
-    for entry in doc.get("components") or []:
-        comp = dict(entry)
-        comp.setdefault("id", None)
-        # JSON carries lists natively; normalize to the flat-text value forms.
-        if isinstance(comp.get("endpoints"), list):
-            comp["endpoints"] = " ".join(comp["endpoints"])
-        components.append(comp)
-    for key in ("allowlist", "required_log_fields"):
-        if isinstance(target.get(key), list):
-            target[key] = " ".join(target[key])
-    for key in ("entitled_scopes", "grant_types"):
-        if isinstance(client.get(key), list):
-            client[key] = " ".join(client[key])
-    if "audit_fixture" in target and isinstance(target["audit_fixture"], bool):
-        target["audit_fixture"] = "true" if target["audit_fixture"] else "false"
-    return _assemble(target, client, components)
-
-
-def _reject_unknown(items: dict, allowed: set, section: str) -> None:
-    for key in items:
-        if key not in allowed:
-            raise ManifestError(f"unknown key {key!r} in section [{section}]")
-
-
-def _split(value: Optional[str]) -> tuple[str, ...]:
-    if not value:
-        return ()
-    return tuple(value.split())
-
-
-def _assemble(target: dict, client: dict, components: list[dict]) -> TargetManifest:
-    mode = target.get("mode", "remote")
-    if mode not in VALID_MODES:
-        raise ManifestError(f"mode {mode!r} must be one of {VALID_MODES}")
-    fixture_raw = str(target.get("audit_fixture", "false")).lower()
-    if fixture_raw not in ("true", "false"):
-        raise ManifestError(f"audit_fixture {fixture_raw!r} must be true or false")
-
-    if not client.get("client_id"):
-        raise ManifestError("client.client_id is required")
-    oauth_client = OAuthClient(
-        client_id=client["client_id"],
-        client_secret=client.get("client_secret") or None,
-        certificate=client.get("certificate") or None,
-        key=client.get("key") or None,
-        entitled_scopes=_split(client.get("entitled_scopes")),
-        grant_types=_split(client.get("grant_types")) or ("client_credentials",),
+    target, client, *components = (
+        _json_items(section)
+        for section in [doc.get("target"), doc.get("client"), *(doc.get("components") or [])]
     )
+    return _assemble(target, client, [(c.pop("id", None), c) for c in components])
+
+
+def _json_items(section: Any) -> dict[str, str]:
+    """One JSON section in flat-text form; null means absent."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ManifestError("manifest JSON sections must be objects")
+    return {key: _text(value) for key, value in section.items() if value is not None}
+
+
+def _assemble(target: dict, client: dict, components: list[tuple]) -> TargetManifest:
+    settings = _values(TargetManifest, target, "target")
+    oauth_client = OAuthClient(**_values(OAuthClient, client, "client"))
     if not oauth_client.client_secret and not oauth_client.has_certificate():
         raise ManifestError("client needs client_secret or certificate+key")
 
-    specs = []
-    seen_ids: set[str] = set()
-    for comp in components:
-        comp_id = comp.get("id")
+    specs: list[ComponentSpec] = []
+    for comp_id, items in components:
         if not comp_id:
             raise ManifestError("component without id")
-        if comp_id in seen_ids:
+        if any(spec.id == comp_id for spec in specs):
             raise ManifestError(f"duplicate component id: {comp_id}")
-        seen_ids.add(comp_id)
-        role_name = comp.get("role")
-        try:
-            role = ComponentRole(role_name)
-        except ValueError:
-            valid = ", ".join(r.value for r in ComponentRole)
-            raise ManifestError(
-                f"component {comp_id}: role {role_name!r} must be one of: {valid}"
-            ) from None
-        endpoints = tuple(Endpoint.parse(e) for e in _split(comp.get("endpoints")))
-        if not endpoints and role != ComponentRole.KEY_MANAGEMENT:
-            raise ManifestError(f"component {comp_id}: endpoints required for role {role.value}")
-        lifetime = comp.get("declared_token_lifetime_s")
-        if lifetime is not None:
-            try:
-                lifetime = int(lifetime)
-            except (TypeError, ValueError):
-                raise ManifestError(
-                    f"component {comp_id}: declared_token_lifetime_s must be an integer"
-                ) from None
-        specs.append(
-            ComponentSpec(
-                id=comp_id,
-                role=role,
-                endpoints=endpoints,
-                declared_encryption_at_rest=comp.get("declared_encryption_at_rest") or None,
-                declared_token_lifetime_s=lifetime,
-                storage_path=comp.get("storage_path") or None,
-                audience=comp.get("audience") or None,
-                token_path=comp.get("token_path") or None,
-                authorize_path=comp.get("authorize_path") or None,
-                jwks_path=comp.get("jwks_path") or None,
-                read=ApiAction.parse(comp["read"], "read") if comp.get("read") else None,
-                write=ApiAction.parse(comp["write"], "write") if comp.get("write") else None,
-                write_body=comp.get("write_body") or None,
-                inject=InjectTarget.parse(comp["inject"]) if comp.get("inject") else None,
-            )
-        )
+        where = f"component {comp_id}"
+        spec = ComponentSpec(id=comp_id, **_values(ComponentSpec, items, where))
+        if not spec.endpoints and spec.role != ComponentRole.KEY_MANAGEMENT:
+            raise ManifestError(f"{where}: endpoints required for role {spec.role.value}")
+        specs.append(spec)
 
-    oauth_servers = [c for c in specs if c.role == ComponentRole.OAUTH_SERVER]
-    if len(oauth_servers) != 1:
-        raise ManifestError(
-            f"exactly one OAuthServer component required, found {len(oauth_servers)}"
-        )
-
-    return TargetManifest(
-        components=tuple(specs),
-        oauth_client=oauth_client,
-        allowlist_sources=_split(target.get("allowlist")),
-        mode=mode,
-        required_log_fields=_split(target.get("required_log_fields"))
-        or DEFAULT_REQUIRED_LOG_FIELDS,
-        ca_path=target.get("ca") or None,
-        audit_fixture=fixture_raw == "true",
-    )
+    servers = sum(spec.role == ComponentRole.OAUTH_SERVER for spec in specs)
+    if servers != 1:
+        raise ManifestError(f"exactly one OAuthServer component required, found {servers}")
+    return TargetManifest(components=tuple(specs), oauth_client=oauth_client, **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -444,99 +423,43 @@ def _assemble(target: dict, client: dict, components: list[dict]) -> TargetManif
 # ---------------------------------------------------------------------------
 
 
+def _fields_of(model: Any) -> list[tuple[str, Any]]:
+    """(key, value) of each key of one section's model."""
+    return [(key, getattr(model, name)) for key, name, *_ in schema(type(model))]
+
+
 def render_ini(manifest: TargetManifest) -> str:
     """Flat text rendering; parse(render(m)) == m for every valid manifest."""
-    out = io.StringIO()
-    out.write("[target]\n")
-    out.write(f"mode = {manifest.mode}\n")
-    if manifest.allowlist_sources:
-        out.write(f"allowlist = {' '.join(manifest.allowlist_sources)}\n")
-    out.write(f"required_log_fields = {' '.join(manifest.required_log_fields)}\n")
-    if manifest.ca_path:
-        out.write(f"ca = {manifest.ca_path}\n")
-    if manifest.audit_fixture:
-        out.write("audit_fixture = true\n")
+    sections = [("target", manifest), ("client", manifest.oauth_client)] + [
+        (f"component {comp.id}", comp) for comp in manifest.components
+    ]
+    return "\n".join(
+        f"[{name}]\n" + "".join(
+            f"{key} = {_text(value)}\n"
+            for key, value in _fields_of(model)
+            if value not in (None, ())
+        )
+        for name, model in sections
+    )
 
-    out.write("\n[client]\n")
-    c = manifest.oauth_client
-    out.write(f"client_id = {c.client_id}\n")
-    if c.client_secret:
-        out.write(f"client_secret = {c.client_secret}\n")
-    if c.certificate:
-        out.write(f"certificate = {c.certificate}\n")
-    if c.key:
-        out.write(f"key = {c.key}\n")
-    if c.entitled_scopes:
-        out.write(f"entitled_scopes = {' '.join(c.entitled_scopes)}\n")
-    out.write(f"grant_types = {' '.join(c.grant_types)}\n")
 
-    for comp in manifest.components:
-        out.write(f"\n[component {comp.id}]\n")
-        out.write(f"role = {comp.role.value}\n")
-        if comp.endpoints:
-            out.write(f"endpoints = {' '.join(e.url() for e in comp.endpoints)}\n")
-        if comp.declared_encryption_at_rest:
-            out.write(f"declared_encryption_at_rest = {comp.declared_encryption_at_rest}\n")
-        if comp.declared_token_lifetime_s is not None:
-            out.write(f"declared_token_lifetime_s = {comp.declared_token_lifetime_s}\n")
-        if comp.storage_path:
-            out.write(f"storage_path = {comp.storage_path}\n")
-        if comp.audience:
-            out.write(f"audience = {comp.audience}\n")
-        if comp.token_path:
-            out.write(f"token_path = {comp.token_path}\n")
-        if comp.authorize_path:
-            out.write(f"authorize_path = {comp.authorize_path}\n")
-        if comp.jwks_path:
-            out.write(f"jwks_path = {comp.jwks_path}\n")
-        if comp.read:
-            out.write(f"read = {comp.read.render()}\n")
-        if comp.write:
-            out.write(f"write = {comp.write.render()}\n")
-        if comp.write_body:
-            out.write(f"write_body = {comp.write_body}\n")
-        if comp.inject:
-            out.write(f"inject = {comp.inject.render()}\n")
-    return out.getvalue()
+def _json_of(model: Any) -> dict[str, Any]:
+    """One section as JSON: tuples become lists of text; None, booleans and
+    numbers stay as they are."""
+    return {
+        key: [_text(v) for v in value] if isinstance(value, tuple)
+        else value if value is None or isinstance(value, (bool, int))
+        else _text(value)
+        for key, value in _fields_of(model)
+    }
 
 
 def render_json(manifest: TargetManifest) -> str:
     """JSON rendering of the same schema, key-sorted for stable digests."""
     doc = {
-        "target": {
-            "mode": manifest.mode,
-            "allowlist": list(manifest.allowlist_sources),
-            "required_log_fields": list(manifest.required_log_fields),
-            "ca": manifest.ca_path,
-            "audit_fixture": manifest.audit_fixture,
-        },
-        "client": {
-            "client_id": manifest.oauth_client.client_id,
-            "client_secret": manifest.oauth_client.client_secret,
-            "certificate": manifest.oauth_client.certificate,
-            "key": manifest.oauth_client.key,
-            "entitled_scopes": list(manifest.oauth_client.entitled_scopes),
-            "grant_types": list(manifest.oauth_client.grant_types),
-        },
-        "components": [
-            {
-                "id": comp.id,
-                "role": comp.role.value,
-                "endpoints": [e.url() for e in comp.endpoints],
-                "declared_encryption_at_rest": comp.declared_encryption_at_rest,
-                "declared_token_lifetime_s": comp.declared_token_lifetime_s,
-                "storage_path": comp.storage_path,
-                "audience": comp.audience,
-                "token_path": comp.token_path,
-                "authorize_path": comp.authorize_path,
-                "jwks_path": comp.jwks_path,
-                "read": comp.read.render() if comp.read else None,
-                "write": comp.write.render() if comp.write else None,
-                "write_body": comp.write_body,
-                "inject": comp.inject.render() if comp.inject else None,
-            }
-            for comp in manifest.components
-        ],
+        "target": _json_of(manifest),
+        "client": _json_of(manifest.oauth_client),
+        "components": [{"id": comp.id, **_json_of(comp)} for comp in manifest.components],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 

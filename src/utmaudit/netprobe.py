@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .manifest import Endpoint, TargetManifest, Zone, expected_zone
+from .manifest import Endpoint, TargetManifest, Zone, expected_zone, vantage
 from .results import CheckResult, fold, judged, note
 
 DEFAULT_TIMEOUT_MS = 2000
@@ -155,17 +155,15 @@ def collect_observations(
     observation replaces the first. Returns the observations plus whether
     the allowlisted vantage was usable."""
     jobs = []
-    allow_source = None
-    if manifest.allowlist_sources:
-        allow_source = SourceBinding.allowlisted(manifest.allowlist_sources[0])
-    restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
+    source = manifest.allowlisted_source
     for comp in manifest.components:
         for endpoint in comp.endpoints:
             jobs.append((comp.id, endpoint, SourceBinding.external()))
-            if allow_source and comp.id in restricted:
-                jobs.append((comp.id, endpoint, allow_source))
+            if vantage(comp, source) == "allowlisted":
+                jobs.append((comp.id, endpoint, SourceBinding.allowlisted(source)))
 
-    allowlist_usable = allow_source is not None
+    restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
+    allowlist_usable = source is not None
     observations: list[Optional[ReachabilityObservation]] = [None] * len(jobs)
 
     def run(index: int, settle: int) -> None:

@@ -97,7 +97,8 @@ class TokenResponse:
     ok: bool
     status: int
     token: Optional[jwtkit.SignedToken] = None
-    granted_scope: str = ""
+    # None when the response's scope is not a string
+    granted_scope: Optional[str] = ""
     error: Optional[str] = None
     client_cert_presented: bool = False
 
@@ -108,10 +109,7 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
         raise AuditorError(
             f"refusing to send client_secret over {endpoint.scheme} to {server.id}"
         )
-    url = (
-        f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}"
-        f"{server.token_path or '/token'}"
-    )
+    url = endpoint.url(server.token_path or "/token")
     form = {"grant_type": req.grant_type, "client_id": req.client_id}
     if req.client_secret:
         form["client_secret"] = req.client_secret
@@ -149,11 +147,12 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
         return TokenResponse(ok=False, status=resp.status,
                              error=f"success body without parseable token: {exc}",
                              client_cert_presented=req.present_client_cert)
+    granted = body.get("scope", token.claims.get("scope", ""))
     return TokenResponse(
         ok=True,
         status=resp.status,
         token=token,
-        granted_scope=body.get("scope", token.claims.get("scope", "")),
+        granted_scope=granted if isinstance(granted, str) else None,
         client_cert_presented=req.present_client_cert,
     )
 
@@ -213,12 +212,8 @@ def check_oauth(
 
 
 def _authorize_url(server: ComponentSpec, **params) -> str:
-    endpoint = server.primary_endpoint()
     query = "&".join(f"{k}={v}" for k, v in params.items())
-    return (
-        f"{endpoint.scheme}://{endpoint.host}:{endpoint.port}"
-        f"{server.authorize_path or '/authorize'}?{query}"
-    )
+    return server.primary_endpoint().url(f"{server.authorize_path or '/authorize'}?{query}")
 
 
 def _redirect_grants(resp) -> Optional[str]:
@@ -284,6 +279,8 @@ def _check_least_privilege(server, client, http) -> CheckResult:
         if not result.ok:
             return [unassessable(
                 f"token request for entitled scopes rejected: HTTP {result.status}")]
+        if result.granted_scope is None:
+            return [unassessable("granted scope in the token response is not a string")]
         scopes = set(result.granted_scope.split())
         excess = scopes - set(client.entitled_scopes)
         if excess:

@@ -77,10 +77,10 @@ def _bindable(port: int) -> bool:
         return False
 
 
-def find_free_port_base(span: int = PORT_SPAN) -> int:
+def find_free_port_base() -> int:
     for _ in range(64):
-        base = random.randrange(20480, 60000 - span, 16)
-        if all(_bindable(base + i) for i in range(span)):
+        base = random.randrange(20480, 60000 - PORT_SPAN, 16)
+        if all(_bindable(base + i) for i in range(PORT_SPAN)):
             return base
     raise RuntimeError("no free port range found")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Optional
+from typing import Optional
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
@@ -235,7 +235,6 @@ def write_at_rest(
     *,
     cipher: str,
     key: Optional[bytes] = None,
-    rand: Callable[[int], bytes] = os.urandom,
 ) -> None:
     """cipher is one of aes-256-gcm, aes-128-gcm, plaintext. Key length must
     match the cipher (32 or 16 bytes)."""
@@ -246,25 +245,9 @@ def write_at_rest(
         expected = 32 if cipher == "aes-256-gcm" else 16
         if key is None or len(key) != expected:
             raise ValueError(f"{cipher} requires a {expected}-byte key")
-        nonce = rand(12)
+        nonce = os.urandom(12)
         data = nonce + AESGCM(key).encrypt(nonce, blob, None)
     else:
         raise ValueError(f"unknown at-rest cipher {cipher!r}")
     with open(path, "wb") as handle:
         handle.write(data)
-
-
-def read_at_rest(path: str, *, cipher: str, key: Optional[bytes] = None) -> list[dict]:
-    data = open(path, "rb").read()
-    if cipher == "plaintext":
-        blob = data
-    else:
-        expected = 32 if cipher == "aes-256-gcm" else 16
-        if key is None or len(key) != expected:
-            raise ValueError(f"{cipher} requires a {expected}-byte key")
-        blob = AESGCM(key).decrypt(data[:12], data[12:], None)
-    records = []
-    for line in blob.splitlines():
-        if line.startswith(PLAINTEXT_MARKER):
-            records.append(json.loads(line[len(PLAINTEXT_MARKER):]))
-    return records

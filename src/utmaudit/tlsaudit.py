@@ -236,13 +236,6 @@ def probe_tls(
 # ---------------------------------------------------------------------------
 
 
-def _identity_paths(manifest: TargetManifest) -> tuple[Optional[str], Optional[str]]:
-    client = manifest.oauth_client
-    if client.certificate and client.key:
-        return client.certificate, client.key
-    return None, None
-
-
 def _posture_outcome(comp, label: str, posture: TlsPosture) -> Outcome:
     if not posture.speaks_tls:
         if posture.plaintext_banner is not None:
@@ -269,15 +262,15 @@ def _posture_outcome(comp, label: str, posture: TlsPosture) -> Outcome:
 def check_db_transport(
     manifest: TargetManifest, timeout_s: float = 5.0
 ) -> CheckResult:
-    cert, key = _identity_paths(manifest)
-    source = manifest.allowlist_sources[0] if manifest.allowlist_sources else None
+    client = manifest.oauth_client
+    cert, key = (client.certificate, client.key) if client.has_certificate() else (None, None)
     outcomes = []
     for comp in manifest.by_role(ComponentRole.DB_NODE):
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
             outcomes += attempt(label, lambda: [_posture_outcome(comp, label, probe_tls(
                 endpoint, ca_path=manifest.ca_path, client_cert=cert, client_key=key,
-                source_address=source, timeout_s=timeout_s,
+                source_address=manifest.allowlisted_source, timeout_s=timeout_s,
             ))])
     return fold("DB-01", outcomes)
 

@@ -43,9 +43,7 @@ def _client_for(manifest) -> HttpClient:
         ca_path=manifest.ca_path,
         client_cert=manifest.oauth_client.certificate,
         client_key=manifest.oauth_client.key,
-        allowlisted_source=(
-            manifest.allowlist_sources[0] if manifest.allowlist_sources else None
-        ),
+        allowlisted_source=manifest.allowlisted_source,
     )
 
 

@@ -17,9 +17,7 @@ def _client(manifest, cls=HttpClient, **extra) -> HttpClient:
         ca_path=manifest.ca_path,
         client_cert=manifest.oauth_client.certificate,
         client_key=manifest.oauth_client.key,
-        allowlisted_source=(
-            manifest.allowlist_sources[0] if manifest.allowlist_sources else None
-        ),
+        allowlisted_source=manifest.allowlisted_source,
         **extra,
     )
 
@@ -118,7 +116,8 @@ def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
 
 
 class _JwksUnreadable(HttpClient):
-    """The declared JWKS path answers 503, or fails at transport level."""
+    """The declared JWKS path answers 503, fails at transport level, or
+    publishes a ``keys`` member that is a string."""
 
     def __init__(self, *args, jwks_url, fault, **kwargs):
         super().__init__(*args, **kwargs)
@@ -130,12 +129,15 @@ class _JwksUnreadable(HttpClient):
             return super().request(method, url, **kwargs)
         if self.fault == "503":
             return HttpResponse(503, [], b"unavailable")
+        if self.fault == "keys-string":
+            return HttpResponse(200, [], b'{"keys": "dpq"}')
         raise WireError(f"{method} {url}: timed out")
 
 
 @pytest.mark.parametrize("fault, reason", [
     ("503", "HTTP 503"),
     ("transport", "GET {url}: timed out"),
+    ("keys-string", "keys is not a list of objects"),
 ])
 def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reason):
     manifest = secure_testbed.manifest
@@ -143,9 +145,9 @@ def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reas
     url = server.primary_endpoint().url(server.jwks_path)
     http = _client(manifest, _JwksUnreadable, jwks_url=url, fault=fault)
     results = _battery(manifest, http, ["JWT-04", "JWT-07"])
+    line = f"{server.id} JWKS {server.jwks_path}: " + reason.format(url=url)
     assert results["JWT-04"].status is CheckStatus.NOT_ASSESSABLE
-    assert results["JWT-04"].evidence[-1] == (
-        f"{server.id} JWKS {server.jwks_path}: " + reason.format(url=url)
-    )
+    assert results["JWT-04"].evidence[-1] == line
     assert "no JWKS document published" not in results["JWT-04"].evidence
     assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["JWT-07"].evidence[-1] == line

@@ -1,13 +1,16 @@
 """Manifest parsing, validation, rendering, and zone mapping."""
 
 import json
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utmaudit.manifest import (
+    DEFAULT_REQUIRED_LOG_FIELDS,
     ApiAction,
     ComponentRole,
     ComponentSpec,
@@ -22,6 +25,7 @@ from utmaudit.manifest import (
     parse_manifest,
     render_ini,
     render_json,
+    schema,
 )
 
 MINIMAL = b"""\
@@ -190,6 +194,31 @@ def test_digest_of_packaged_example_is_pinned():
     assert manifest_digest(parse_manifest(render_json(m).encode())) == PACKAGED_DIGEST
 
 
+FORMAT_DOC = Path(__file__).parent.parent / "docs" / "manifest-format.md"
+
+
+def _documented_keys() -> dict[str, set[str]]:
+    """The keys of each section's table in the format document."""
+    keys: dict[str, set[str]] = {}
+    section = None
+    for line in FORMAT_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = re.match(r"## `\[(\w+)", line)
+            section = heading.group(1) if heading else None
+            if section:
+                keys[section] = set()
+        elif section and line.startswith("| `"):
+            keys[section] |= set(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+def test_format_doc_lists_exactly_the_schema_keys():
+    models = {"target": TargetManifest, "client": OAuthClient, "component": ComponentSpec}
+    assert _documented_keys() == {
+        section: {key for key, *_ in schema(model)} for section, model in models.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Round-trip property over generated manifests
 # ---------------------------------------------------------------------------
@@ -211,15 +240,19 @@ def endpoints(draw):
 
 @st.composite
 def components(draw, comp_id, role):
+    # A KeyManagement component is the one role that may declare no endpoints.
+    fewest = 0 if role is ComponentRole.KEY_MANAGEMENT else 1
     return ComponentSpec(
         id=comp_id,
         role=role,
-        endpoints=tuple(draw(st.lists(endpoints(), min_size=1, max_size=3))),
+        endpoints=tuple(draw(st.lists(endpoints(), min_size=fewest, max_size=3))),
         declared_encryption_at_rest=draw(st.sampled_from([None, "AES-256", "AES-128"])),
         declared_token_lifetime_s=draw(st.sampled_from([None, 300, 900, 86400])),
         storage_path=draw(st.sampled_from([None, "/var/lib/store.db"])),
         audience=draw(st.sampled_from([None, "gateway", "logs"])),
         token_path=draw(st.sampled_from([None, "/token"])),
+        authorize_path=draw(st.sampled_from([None, "/authorize"])),
+        jwks_path=draw(st.sampled_from([None, "/jwks.json"])),
         read=draw(
             st.sampled_from([None, ApiAction("GET", "/isa", "utm.read")])
         ),
@@ -262,6 +295,9 @@ def manifests(draw):
         ),
         allowlist_sources=tuple(draw(st.lists(_host, max_size=2, unique=True))),
         mode=draw(st.sampled_from(["remote", "introspective"])),
+        required_log_fields=draw(st.sampled_from([
+            DEFAULT_REQUIRED_LOG_FIELDS, ("timestamp", "actor_id"), ("outcome",),
+        ])),
         ca_path=draw(st.sampled_from([None, "/path/ca.pem"])),
         audit_fixture=draw(st.booleans()),
     )

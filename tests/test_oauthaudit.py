@@ -1,17 +1,22 @@
 """Secret-strength arithmetic and token-request guard rails."""
 
+import json
 import math
 
 import pytest
 
-from utmaudit.manifest import ComponentRole, ComponentSpec, Endpoint
+from utmaudit.manifest import ComponentRole, ComponentSpec, Endpoint, parse_manifest
 from utmaudit.oauthaudit import (
     AuditorError,
     TokenRequest,
+    check_oauth,
     estimate_secret_strength,
     request_token,
 )
+from utmaudit.results import CheckStatus
 from utmaudit.wire import HttpClient, HttpResponse
+
+from .oracles.token_signing import make_token
 
 # Hand-computed closed-form cases: bits = length * log2(charset).
 CASES = [
@@ -107,3 +112,21 @@ def test_error_body_that_is_a_list_is_a_failed_issuance():
     result = _token_from(400, b'["invalid_client"]')
     assert not result.ok and result.status == 400
     assert result.error == "error body is not a JSON object"
+
+
+def test_granted_scope_that_is_not_a_string_leaves_oauth02_not_assessable():
+    manifest = parse_manifest(b"""\
+[client]
+client_id = auditor
+client_secret = 0123456789abcdef0123456789abcdef
+entitled_scopes = utm.read
+
+[component auth]
+role = OAuthServer
+endpoints = https://127.0.0.1:1
+""")
+    token = make_token({"alg": "none"}, {"sub": "auditor"}, None).compact()
+    body = json.dumps({"access_token": token, "scope": ["admin"]}).encode()
+    [result] = check_oauth(manifest, _StubHttp(200, body), ["OAUTH-02"])
+    assert result.status is CheckStatus.NOT_ASSESSABLE
+    assert result.evidence == ["granted scope in the token response is not a string"]
