@@ -243,8 +243,11 @@ def _testbed_down(args) -> int:
     except OSError as exc:
         if exc.errno != errno.ESRCH:
             raise
-    # wait for the process to wind down and clear its state file
+    # wait for the process to stop its testbed and clear its state file; a
+    # zombie still answers kill(pid, 0), so the file is what to watch
     for _ in range(50):
+        if not os.path.exists(args.state):
+            break
         try:
             os.kill(pid, 0)
         except OSError:

@@ -149,12 +149,19 @@ _JWK_PRIVATE_FIELDS = ("d", "p", "q", "dp", "dq", "qi")
 
 
 def jwk_to_public_pem(jwk: dict) -> bytes:
-    """RSA JWK (n, e) to the canonical SubjectPublicKeyInfo PEM bytes."""
+    """RSA JWK (n, e) to the canonical SubjectPublicKeyInfo PEM bytes;
+    TokenError unless n and e are Base64URL text of a usable key."""
     if jwk.get("kty") != "RSA":
         raise TokenError(f"not an RSA JWK: kty={jwk.get('kty')!r}")
-    n = int.from_bytes(b64url_decode(jwk["n"]), "big")
-    e = int.from_bytes(b64url_decode(jwk["e"]), "big")
-    public_key = rsa.RSAPublicNumbers(e, n).public_key()
+    n, e = jwk.get("n"), jwk.get("e")
+    if not (isinstance(n, str) and isinstance(e, str)):
+        raise TokenError("RSA JWK without Base64URL text n and e")
+    try:
+        public_key = rsa.RSAPublicNumbers(
+            int.from_bytes(b64url_decode(e), "big"), int.from_bytes(b64url_decode(n), "big")
+        ).public_key()
+    except ValueError as exc:  # TokenError included
+        raise TokenError(f"unusable RSA JWK: {exc}") from None
     return public_key.public_bytes(
         serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
     )
@@ -388,7 +395,7 @@ def run_jwt_battery(
             "JWT-06", enforcing, notes, baseline, http,
             [SetAlgNone()], "alg=none token rejected everywhere")),
         ("JWT-07", lambda: _check_confusion(
-            enforcing, notes, baseline, http, keys, unreadable)),
+            manifest, enforcing, notes, baseline, http, keys, unreadable)),
         ("JWT-08", lambda: _check_scope(services, baseline, http)),
         ("JWT-09", lambda: _check_audience(services, enforcing, notes, http, mint)),
         ("JWT-10", lambda: _check_web_token_storage(manifest, http)),
@@ -551,6 +558,7 @@ def _check_forgeries(
 
 
 def _check_confusion(
+    manifest: TargetManifest,
     services: list[ComponentSpec],
     notes: list[Outcome],
     baseline: Callable[[ComponentSpec], Optional[SignedToken]],
@@ -566,9 +574,13 @@ def _check_confusion(
     if not rsa_keys:
         return fold("JWT-07", notes + [unassessable(
             "no published RSA key; confusion forgery cannot be constructed")])
+    try:
+        public_pem = jwk_to_public_pem(rsa_keys[0])
+    except TokenError:
+        return fold("JWT-07", notes + [unassessable(
+            f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e")])
     return _check_forgeries(
-        "JWT-07", services, notes, baseline, http,
-        [AlgConfusionHs256(jwk_to_public_pem(rsa_keys[0]))],
+        "JWT-07", services, notes, baseline, http, [AlgConfusionHs256(public_pem)],
         "HMAC-with-public-key forgery rejected everywhere",
     )
 

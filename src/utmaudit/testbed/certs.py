@@ -1,4 +1,4 @@
-"""One-shot PKI for a testbed run.
+"""The PKI that every testbed of one process shares.
 
 Generates a private CA, a server certificate valid for loopback names, a
 client certificate for the auditor, and a standalone RSA keypair used only
@@ -20,6 +20,8 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 from cryptography.x509.oid import ExtendedKeyUsageOID, NameOID
 
 _KEY_BITS = 2048
+_SERVER_NAMES = (x509.IPAddress(ipaddress.ip_address("127.0.0.1")),
+                 x509.DNSName("localhost"))
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def _issue(
     issuer_key: rsa.RSAPrivateKey,
     *,
     is_ca: bool = False,
-    server_hosts: tuple[str, ...] = (),
+    server: bool = False,
     client_auth: bool = False,
 ) -> x509.Certificate:
     now = datetime.datetime.now(datetime.timezone.utc)
@@ -80,15 +82,9 @@ def _issue(
         .not_valid_after(now + datetime.timedelta(days=7))
         .add_extension(x509.BasicConstraints(ca=is_ca, path_length=None), critical=True)
     )
-    if server_hosts:
-        names: list[x509.GeneralName] = []
-        for host in server_hosts:
-            try:
-                names.append(x509.IPAddress(ipaddress.ip_address(host)))
-            except ValueError:
-                names.append(x509.DNSName(host))
+    if server:
         builder = builder.add_extension(
-            x509.SubjectAlternativeName(names), critical=False
+            x509.SubjectAlternativeName(_SERVER_NAMES), critical=False
         )
         builder = builder.add_extension(
             x509.ExtendedKeyUsage([ExtendedKeyUsageOID.SERVER_AUTH]), critical=False
@@ -100,19 +96,15 @@ def _issue(
     return builder.sign(issuer_key, hashes.SHA256())
 
 
-def make_bundle(hosts: tuple[str, ...] = ("127.0.0.1", "localhost")) -> CertBundle:
+def make_bundle() -> CertBundle:
     ca_key = _new_key()
     ca_cert = _issue("testbed-ca", ca_key, _name("testbed-ca"), ca_key, is_ca=True)
 
     server_key = _new_key()
-    server_cert = _issue(
-        "testbed", server_key, ca_cert.subject, ca_key, server_hosts=hosts
-    )
+    server_cert = _issue("testbed", server_key, ca_cert.subject, ca_key, server=True)
 
     client_key = _new_key()
-    client_cert = _issue(
-        "auditor", client_key, ca_cert.subject, ca_key, client_auth=True
-    )
+    client_cert = _issue("auditor", client_key, ca_cert.subject, ca_key, client_auth=True)
 
     jwt_key = _new_key()
     jwt_public = jwt_key.public_key().public_bytes(

@@ -1,10 +1,10 @@
 """Builds, starts and tears down a complete mock deployment.
 
 One testbed is seven declared components on eight consecutive loopback
-ports, plus a generated private CA, a generated client credential pair and
-a target manifest describing all of it. Restricted services only accept
-connections from the allowlisted source address (a second loopback
-address), which is how the scanner's two network vantages differ.
+ports, plus a private CA and a client credential pair, generated once per
+process, and a target manifest describing all of it. Restricted services
+only accept connections from the allowlisted source address (a second
+loopback address), which is how the scanner's two network vantages differ.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Optional
 
 from ..manifest import TargetManifest, parse_manifest
 from . import tokens
-from .certs import CertPaths, make_bundle, write_bundle
+from .certs import CertBundle, CertPaths, make_bundle, write_bundle
 from .gateway import GatewayHandler, GatewayService
 from .httpbase import TestbedHttpServer, https_context
 from .logrepo import LogRepoHandler, LogRepoService
@@ -143,7 +143,20 @@ def _strong_secret() -> str:
 
 
 def _weak_secret() -> str:
-    return secrets.token_hex(5)
+    """Ten hex digits with a letter among them, so 16 symbols are seen."""
+    while True:
+        secret = secrets.token_hex(5)
+        if set(secret) & set("abcdef"):
+            return secret
+
+
+@functools.cache
+def _process_credentials() -> tuple[CertBundle, tokens.SigningKeys, str]:
+    """The PKI, its parsed JWT key and the strong client secret: no toggle
+    changes them, so one process builds them once for all its testbeds."""
+    bundle = make_bundle()
+    jwt = (bundle.jwt_private_pem, bundle.jwt_public_pem, bundle.jwt_kid)
+    return bundle, tokens.make_signing_keys(*jwt), _strong_secret()
 
 
 def _manifest_text(
@@ -264,13 +277,9 @@ def _start_once(chosen: frozenset[str], base: int) -> Testbed:
 
 
 def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
-    bundle = make_bundle()
+    bundle, keys, strong_secret = _process_credentials()
     paths = write_bundle(bundle, str(workdir / "pki"))
-    keys = tokens.make_signing_keys(
-        bundle.jwt_private_pem, bundle.jwt_public_pem, bundle.jwt_kid
-    )
-
-    client_secret = _weak_secret() if "weak-secret" in chosen else _strong_secret()
+    client_secret = _weak_secret() if "weak-secret" in chosen else strong_secret
 
     # at-rest persistence for the airspace store
     if "no-at-rest-encryption" in chosen:

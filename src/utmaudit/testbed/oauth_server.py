@@ -10,6 +10,7 @@ enforcing state and PKCE the way a careful deployment would.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import hmac
 import secrets
@@ -21,6 +22,17 @@ from . import tokens
 from .httpbase import JsonHandler
 
 _PBKDF2_ITERATIONS = 210000
+
+
+@functools.cache
+def _pbkdf2_line(client_id: str, secret: str) -> str:
+    """The hashed store line, derived once per credential pair in a process:
+    the key stretching dominates a testbed start."""
+    salt = secrets.token_hex(8)
+    digest = hashlib.pbkdf2_hmac(
+        "sha256", secret.encode(), salt.encode(), _PBKDF2_ITERATIONS
+    ).hex()
+    return f"{client_id} pbkdf2_sha256${_PBKDF2_ITERATIONS}${salt}${digest}\n"
 
 
 @dataclass
@@ -64,17 +76,7 @@ class OAuthService:
         if "plaintext-secret-store" in self.config.toggles:
             line = f"{self.config.client_id} {self.config.client_secret}\n"
         else:
-            salt = secrets.token_hex(8)
-            digest = hashlib.pbkdf2_hmac(
-                "sha256",
-                self.config.client_secret.encode(),
-                salt.encode(),
-                _PBKDF2_ITERATIONS,
-            ).hex()
-            line = (
-                f"{self.config.client_id} "
-                f"pbkdf2_sha256${_PBKDF2_ITERATIONS}${salt}${digest}\n"
-            )
+            line = _pbkdf2_line(self.config.client_id, self.config.client_secret)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(line)
 

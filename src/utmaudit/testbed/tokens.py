@@ -229,7 +229,7 @@ def jwks_document(keys: SigningKeys, *, include_private_fields: bool = False) ->
 def make_signing_keys(private_pem: bytes, public_pem: bytes, kid: str) -> SigningKeys:
     # The PEM is the key certs.make_bundle has just generated in this
     # process. Re-validating it (a primality check) would add ~70 ms to
-    # every testbed start.
+    # a process's first testbed start, which is every `testbed up`.
     private_key = serialization.load_pem_private_key(
         private_pem, password=None, unsafe_skip_rsa_key_validation=True
     )

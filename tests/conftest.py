@@ -1,17 +1,20 @@
 """Shared live-testbed fixtures.
 
-Starting a deployment costs a couple of seconds, so the secure and
-paper-poc instances are session scoped and shared across test modules.
-Tests that flip toggles start their own instances instead of mutating
-these.
+The secure and paper-poc instances are session scoped and shared across
+test modules. Tests that flip toggles start their own instances instead of
+mutating these, or read the first scan of a fresh instance from
+``first_scans``.
 """
 
+import functools
 import time
 
 import pytest
 
 from utmaudit.engine import run_audit
 from utmaudit.testbed.harness import start_testbed
+
+from .goldens import first_scan
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +37,10 @@ def paper_poc_testbed():
     tb = start_testbed(profile="paper-poc")
     yield tb
     tb.stop()
+
+
+@pytest.fixture(scope="session")
+def first_scans():
+    """``first_scans(config)`` is ``goldens.first_scan(config)``, run once
+    per config and session: the golden and ac3 tests read the same scans."""
+    return functools.cache(first_scan)

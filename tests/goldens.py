@@ -18,14 +18,25 @@ from __future__ import annotations
 import json
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from utmaudit.engine import report_to_dict, run_audit, strip_volatile
+from utmaudit.engine import Report, report_to_dict, run_audit, strip_volatile
 from utmaudit.testbed.harness import PORT_SPAN, start_testbed
 from utmaudit.testbed.toggles import TOGGLES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CONFIGS: tuple[str, ...] = ("secure", "paper-poc") + TOGGLES
+
+
+@dataclass(frozen=True)
+class FirstScan:
+    """The first audit of a fresh testbed, with where that (now stopped)
+    testbed lived: its workdir and its eight ports."""
+
+    report: Report
+    workdir: str
+    ports: tuple[int, ...]
 
 
 def _start(config: str):
@@ -36,17 +47,23 @@ def _start(config: str):
     return start_testbed((config,))
 
 
-def normalised_report(config: str) -> bytes:
-    """The golden bytes of one config, from a fresh testbed's first scan."""
+def first_scan(config: str) -> FirstScan:
+    """Start a fresh testbed for one config, audit it once and stop it."""
     tb = _start(config)
     try:
-        doc = strip_volatile(report_to_dict(run_audit(tb.manifest)))
+        report = run_audit(tb.manifest)
     finally:
         tb.stop()
+    return FirstScan(report, tb.workdir, tuple(tb.port(o) for o in range(PORT_SPAN)))
+
+
+def normalised_report(scan: FirstScan) -> bytes:
+    """The golden bytes of one first scan."""
+    doc = strip_volatile(report_to_dict(scan.report))
     doc.pop("manifest_digest")
-    text = json.dumps(doc, indent=2, sort_keys=True).replace(tb.workdir, "<workdir>")
-    for offset in range(PORT_SPAN):
-        text = re.sub(rf"\b{tb.port(offset)}\b", f"<port{offset}>", text)
+    text = json.dumps(doc, indent=2, sort_keys=True).replace(scan.workdir, "<workdir>")
+    for offset, port in enumerate(scan.ports):
+        text = re.sub(rf"\b{port}\b", f"<port{offset}>", text)
     return (text + "\n").encode("utf-8")
 
 
@@ -61,7 +78,7 @@ def main(argv: list[str]) -> int:
         return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
     for config in argv or CONFIGS:
-        golden_path(config).write_bytes(normalised_report(config))
+        golden_path(config).write_bytes(normalised_report(first_scan(config)))
         print(golden_path(config))
     return 0
 

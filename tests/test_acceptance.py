@@ -28,7 +28,6 @@ from utmaudit.engine import REGISTRY, run_audit, strip_volatile
 from utmaudit.logaudit import LogChain, LogRecord, build_chain, verify_chain
 from utmaudit.manifest import Zone, expected_zone
 from utmaudit.results import CheckStatus
-from utmaudit.testbed.harness import start_testbed
 from utmaudit.testbed.toggles import TOGGLES, load_matrix
 from utmaudit.wire import HttpClient
 
@@ -75,7 +74,7 @@ def test_ac2_poc_profile_yields_exactly_the_three_findings(paper_poc_testbed):
             )
 
 
-def test_ac3_each_toggle_flips_exactly_its_own_checks(secure_audit):
+def test_ac3_each_toggle_flips_exactly_its_own_checks(secure_audit, first_scans):
     baseline_report, _ = secure_audit
     baseline = {r.check_id: r.status for r in baseline_report.results}
     matrix = load_matrix()
@@ -83,11 +82,7 @@ def test_ac3_each_toggle_flips_exactly_its_own_checks(secure_audit):
 
     deviations = []
     for toggle in TOGGLES:
-        tb = start_testbed((toggle,))
-        try:
-            report = run_audit(tb.manifest)
-        finally:
-            tb.stop()
+        report = first_scans(toggle).report
         statuses = {r.check_id: r.status for r in report.results}
         flipped = {c for c in baseline if statuses[c] != baseline[c]}
         expected = set(matrix[toggle])

@@ -13,6 +13,7 @@ from importlib import resources
 import pytest
 
 from utmaudit import cli
+from utmaudit.manifest import parse_manifest_file
 from utmaudit.testbed.toggles import TOGGLES
 
 FIXTURE_MANIFEST = str(resources.files("utmaudit") / "data" / "testbed.manifest")
@@ -165,7 +166,7 @@ def test_report_rejects_missing_file(capsys):
     assert capsys.readouterr().err.startswith("utmaudit: ")
 
 
-def test_testbed_up_down_lifecycle(tmp_path):
+def test_testbed_up_down_lifecycle(tmp_path, secure_testbed):
     state = tmp_path / "state.json"
     proc = subprocess.Popen(
         [sys.executable, "-m", "utmaudit.cli", "testbed", "up", "--state", str(state)],
@@ -178,13 +179,21 @@ def test_testbed_up_down_lifecycle(tmp_path):
         assert manifest_path, proc.stderr.read()
         assert os.path.exists(manifest_path)
         assert state.exists()
+        # the testbed shares its PKI only within its own process
+        child_ca = parse_manifest_file(manifest_path).ca_path
+        with open(child_ca, "rb") as fh, open(secure_testbed.manifest.ca_path, "rb") as own:
+            assert fh.read() != own.read()
 
+        # the child is not reaped until proc.wait below, so down must not
+        # wait for its pid to vanish
+        started = time.monotonic()
         rc = subprocess.run(
             [sys.executable, "-m", "utmaudit.cli", "testbed", "down", "--state", str(state)],
             capture_output=True,
             timeout=30,
         ).returncode
         assert rc == 0
+        assert time.monotonic() - started < 3
         assert proc.wait(timeout=10) == 0
         assert not state.exists()
     finally:

@@ -73,7 +73,9 @@ def test_malformed_jwks_costs_only_the_confusion_check(secure_testbed, secure_au
     )
     assert list(results) == JWT_IDS
     assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
-    assert results["JWT-07"].evidence[0].startswith("probe aborted: TokenError")
+    assert results["JWT-07"].evidence == [
+        f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e"
+    ]
     for check_id, result in results.items():
         if check_id != "JWT-07":
             assert result.status is expected[check_id].status, check_id
@@ -117,7 +119,13 @@ def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
 
 class _JwksUnreadable(HttpClient):
     """The declared JWKS path answers 503, fails at transport level, or
-    publishes a ``keys`` member that is a string."""
+    publishes one of the documents in ``DOCUMENTS``."""
+
+    DOCUMENTS = {
+        "keys-string": b'{"keys": "dpq"}',
+        "rsa-without-n": b'{"keys": [{"kty": "RSA"}]}',
+        "rsa-n-not-text": b'{"keys": [{"kty": "RSA", "n": 5, "e": "AQAB"}]}',
+    }
 
     def __init__(self, *args, jwks_url, fault, **kwargs):
         super().__init__(*args, **kwargs)
@@ -129,8 +137,8 @@ class _JwksUnreadable(HttpClient):
             return super().request(method, url, **kwargs)
         if self.fault == "503":
             return HttpResponse(503, [], b"unavailable")
-        if self.fault == "keys-string":
-            return HttpResponse(200, [], b'{"keys": "dpq"}')
+        if self.fault in self.DOCUMENTS:
+            return HttpResponse(200, [], self.DOCUMENTS[self.fault])
         raise WireError(f"{method} {url}: timed out")
 
 
@@ -151,3 +159,15 @@ def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reas
     assert "no JWKS document published" not in results["JWT-04"].evidence
     assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
     assert results["JWT-07"].evidence[-1] == line
+
+
+@pytest.mark.parametrize("fault", ["rsa-without-n", "rsa-n-not-text"])
+def test_rsa_jwk_without_usable_n_e_leaves_jwt07_not_assessable(secure_testbed, fault):
+    manifest = secure_testbed.manifest
+    server = manifest.oauth_server()
+    url = server.primary_endpoint().url(server.jwks_path)
+    http = _client(manifest, _JwksUnreadable, jwks_url=url, fault=fault)
+    results = _battery(manifest, http, ["JWT-04", "JWT-07"])
+    assert results["JWT-04"].status is CheckStatus.PASS
+    assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["JWT-07"].evidence == [f"{server.id} JWKS: RSA key without usable n/e"]

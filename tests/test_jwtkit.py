@@ -272,6 +272,17 @@ def test_jwk_rejects_non_rsa():
         jwk_to_public_pem({"kty": "EC"})
 
 
+@pytest.mark.parametrize("jwk", [
+    {"kty": "RSA"},
+    {"kty": "RSA", "n": 5, "e": "AQAB"},
+    {"kty": "RSA", "n": "!!", "e": "AQAB"},
+    {"kty": "RSA", "n": "", "e": "AQAB"},
+])
+def test_jwk_without_usable_n_e_raises_token_error(jwk):
+    with pytest.raises(TokenError):
+        jwk_to_public_pem(jwk)
+
+
 def test_jwks_private_field_detection(rsa_key):
     clean = {"keys": [_jwk_entry(rsa_key)]}
     assert jwks_private_fields(clean) == []

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import threading
 
@@ -328,6 +329,55 @@ def test_strong_secret_always_uses_the_full_urlsafe_alphabet():
     for _ in range(200):
         strength = estimate_secret_strength(harness._strong_secret())
         assert (strength.charset_size, strength.estimated_bits) == (64, 384.0)
+
+
+def test_weak_secret_always_shows_the_full_hex_alphabet():
+    # token_hex(5) alone draws no a-f in about one draw in 110, which would
+    # move OAUTH-03's evidence from 40.0 bits over 16 symbols to 33.2 over 10
+    for _ in range(200):
+        strength = estimate_secret_strength(harness._weak_secret())
+        assert (strength.charset_size, strength.estimated_bits) == (16, 40.0)
+
+
+def _jwks_kid(tb):
+    resp = _client(tb).request("GET", f"https://127.0.0.1:{tb.port(0)}/jwks.json")
+    return resp.json()["keys"][0]["kid"]
+
+
+def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
+    monkeypatch,
+):
+    real_make_bundle = harness.make_bundle
+    made = []
+
+    def counting_make_bundle():
+        made.append(real_make_bundle())
+        return made[-1]
+
+    monkeypatch.setattr(harness, "make_bundle", counting_make_bundle)
+    harness._process_credentials.cache_clear()
+    first = start_testbed()
+    try:
+        second = start_testbed()
+    except BaseException:
+        first.stop()
+        raise
+    try:
+        assert len(made) == 1
+        assert first.workdir != second.workdir
+        assert first.port_base != second.port_base
+        ca = [open(tb.manifest.ca_path, "rb").read() for tb in (first, second)]
+        assert ca[0] == ca[1] == made[0].ca_cert_pem
+        assert _jwks_kid(first) == _jwks_kid(second) == made[0].jwt_kid
+        assert first.client_secret == second.client_secret
+        # each stop removes that testbed's own copy of the PKI, and only it
+        first.stop()
+        assert not os.path.exists(os.path.join(first.workdir, "pki"))
+        assert os.path.exists(second.manifest.ca_path)
+    finally:
+        first.stop()
+        second.stop()
+    assert not os.path.exists(os.path.join(second.workdir, "pki"))
 
 
 def test_stopping_an_unstarted_listener_returns_quietly():
