@@ -13,6 +13,7 @@ import errno
 import json
 import os
 import signal
+import socket
 import sys
 import time
 from typing import Optional
@@ -235,7 +236,21 @@ def _testbed_down(args) -> int:
     except FileNotFoundError:
         print(f"utmaudit: no testbed state at {args.state}", file=sys.stderr)
         return EXIT_ERROR
+    from .testbed.harness import HOST
+
     pid = int(state["pid"])
+    # the pid may belong to another process by now: signal it only while
+    # the testbed's first port still accepts
+    try:
+        socket.create_connection((HOST, int(state["port_base"])), 1).close()
+    except OSError:
+        try:
+            os.remove(args.state)
+        except OSError:
+            pass
+        print(f"utmaudit: stale testbed state at {args.state}; pid {pid} "
+              "not signalled", file=sys.stderr)
+        return EXIT_ERROR
     try:
         os.kill(pid, signal.SIGTERM)
     except ProcessLookupError:

@@ -9,7 +9,6 @@ loopback address), which is how the scanner's two network vantages differ.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import json
 import random
@@ -18,7 +17,6 @@ import shutil
 import socket
 import string
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,10 +26,10 @@ from ..manifest import TargetManifest, parse_manifest
 from . import tokens
 from .certs import CertBundle, CertPaths, make_bundle, write_bundle
 from .gateway import GatewayHandler, GatewayService
-from .httpbase import TestbedHttpServer, https_context
+from .httpbase import Listener, TestbedHttpServer, https_context
 from .logrepo import LogRepoHandler, LogRepoService
 from .oauth_server import OAuthConfig, OAuthHandler, OAuthService
-from .rawlisteners import RawListener, make_db_node, make_kms
+from .rawlisteners import make_db_node, make_kms
 from .store import IsaStore, write_at_rest
 from .toggles import validate_toggles, toggles_for_profile
 from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicWebService
@@ -39,8 +37,6 @@ from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicW
 HOST = "127.0.0.1"
 ALLOWLISTED_SOURCE = "127.0.0.2"
 PORT_SPAN = 8
-# How often an idle HTTP server looks for a shutdown request; bounds stop().
-HTTP_POLL_INTERVAL_S = 0.05
 
 ENTITLED_SCOPES = ("utm.read", "utm.write", "logs.read", "logs.write")
 
@@ -96,36 +92,23 @@ class Testbed:
     client_secret: str
     cert_paths: CertPaths
     signing_keys: tokens.SigningKeys
-    _http_servers: list = field(default_factory=list, repr=False)
-    _raw_listeners: list[RawListener] = field(default_factory=list, repr=False)
-    _threads: list[threading.Thread] = field(default_factory=list, repr=False)
+    _listeners: list[Listener] = field(default_factory=list, repr=False)
     _stopped: bool = False
 
     def port(self, offset: int) -> int:
         return self.port_base + offset
 
     def stop(self) -> None:
-        """Stop every server and listener at once, so teardown takes one
-        poll interval rather than the sum of them."""
+        """Wake every accept loop first, so that no listener waits for
+        another to stop; then join and close each one."""
         if self._stopped:
             return
         self._stopped = True
-        stoppers = [
-            functools.partial(_stop_http, server) for server in self._http_servers
-        ] + [listener.stop for listener in self._raw_listeners]
-        with concurrent.futures.ThreadPoolExecutor(len(stoppers)) as pool:
-            list(pool.map(lambda stop: stop(), stoppers))
-        for thread in self._threads:
-            thread.join(timeout=3)
+        for listener in self._listeners:
+            listener.wake()
+        for listener in self._listeners:
+            listener.stop()
         shutil.rmtree(self.workdir, ignore_errors=True)
-
-
-def _stop_http(server: TestbedHttpServer) -> None:
-    try:
-        server.shutdown()
-        server.server_close()
-    except OSError:
-        pass
 
 
 _URLSAFE_CLASSES = (
@@ -343,25 +326,14 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
         None if "expose-dbnode" in chosen else restricted_allowlist
     )
 
-    http_servers = []
-    threads = []
+    listeners: list[Listener] = []
 
     def add_http(offset, handler, service, *, tls=None, allowlist=None):
-        server = TestbedHttpServer(
+        listeners.append(TestbedHttpServer(
             (HOST, base + offset), handler, service,
             tls_context=tls, allowlist=allowlist,
-        )
-        thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": HTTP_POLL_INTERVAL_S},
-            name=f"http-{base + offset}",
-            daemon=True,
-        )
-        http_servers.append(server)
-        threads.append(thread)
-        return server
+        ))
 
-    raw_listeners = []
     try:
         add_http(
             0, OAuthHandler, oauth_service,
@@ -377,11 +349,11 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
             4, LogRepoHandler, logrepo_service,
             tls=https_context(paths), allowlist=restricted_allowlist,
         )
-        raw_listeners.append(
+        listeners.append(
             make_kms(HOST, base + 5, allowlist=restricted_allowlist)
         )
         for offset in (6, 7):
-            raw_listeners.append(
+            listeners.append(
                 make_db_node(
                     HOST, base + offset, paths,
                     plaintext="plaintext-dbnode" in chosen,
@@ -390,15 +362,11 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
                 )
             )
     except OSError:
-        for server in http_servers:
-            server.server_close()
-        for listener in raw_listeners:
+        for listener in listeners:
             listener.stop()
         raise
 
-    for thread in threads:
-        thread.start()
-    for listener in raw_listeners:
+    for listener in listeners:
         listener.start()
     _wait_ready([base + i for i in range(PORT_SPAN)])
 
@@ -424,7 +392,5 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
         client_secret=client_secret,
         cert_paths=paths,
         signing_keys=keys,
-        _http_servers=http_servers,
-        _raw_listeners=raw_listeners,
-        _threads=threads,
+        _listeners=listeners,
     )

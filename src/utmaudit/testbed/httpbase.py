@@ -1,4 +1,8 @@
-"""HTTP service plumbing shared by the mock services.
+"""Listener plumbing shared by the mock services.
+
+Every listener, HTTP or raw, runs one accept loop on a blocking socket.
+`stop()` wakes that loop by shutting the listening socket down, which fails
+the pending accept() at once instead of waiting for a poll to notice.
 
 The allowlist decision runs in the accept thread before any TLS bytes are
 exchanged, so disallowed peers see a bare close. The TLS handshake itself
@@ -9,7 +13,9 @@ from blocking the accept loop.
 from __future__ import annotations
 
 import json
+import socket
 import ssl
+import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -17,7 +23,12 @@ from typing import Optional
 from .certs import CertPaths
 
 
-class TestbedHttpServer(ThreadingHTTPServer):
+class Listener:
+    """Mixin for a threading `socketserver` server: the allowlist, the
+    accept loop and its start and stop."""
+
+    # server_close() joins no daemon worker, so stop() never waits on a
+    # peer that keeps its connection open
     daemon_threads = True
     allow_reuse_address = True
 
@@ -25,20 +36,69 @@ class TestbedHttpServer(ThreadingHTTPServer):
         self,
         address,
         handler_class,
-        service,
         *,
         tls_context: Optional[ssl.SSLContext] = None,
         allowlist: Optional[frozenset[str]] = None,
     ):
-        self.service = service
         self.tls_context = tls_context
         self.allowlist = allowlist
+        self._thread: Optional[threading.Thread] = None
+        self._stopping = False
         super().__init__(address, handler_class)
 
     def verify_request(self, request, client_address) -> bool:
         if self.allowlist is not None and client_address[0] not in self.allowlist:
             return False  # closed without a byte: policy drop
         return True
+
+    def start(self) -> None:
+        self._thread = threading.Thread(
+            target=self._accept_loop,
+            name=f"listen-{self.server_address[1]}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _accept_loop(self) -> None:
+        # socketserver's _handle_request_noblock, on a socket that blocks
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if self._stopping:
+                    return
+                continue
+            if not self.verify_request(request, client_address):
+                self.shutdown_request(request)
+                continue
+            try:
+                self.process_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+                self.shutdown_request(request)
+            except BaseException:
+                self.shutdown_request(request)
+                raise
+
+    def wake(self) -> None:
+        """Fail the pending accept() now; Linux answers it with EINVAL."""
+        self._stopping = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already shut down
+
+    def stop(self) -> None:
+        self.wake()
+        if self._thread is not None:  # never started: nothing to join
+            self._thread.join(timeout=3)
+        self.server_close()
+
+
+class TestbedHttpServer(Listener, ThreadingHTTPServer):
+    def __init__(self, address, handler_class, service, **listener):
+        self.service = service
+        super().__init__(address, handler_class, **listener)
 
     def finish_request(self, request, client_address) -> None:
         if self.tls_context is not None:

@@ -9,75 +9,37 @@ an unwanted peer sees an immediate close instead of a protocol error.
 from __future__ import annotations
 
 import socket
+import socketserver
 import ssl
-import threading
 from typing import Callable, Optional
 
 from .certs import CertPaths
+from .httpbase import Listener
 
 _DRAIN_TIMEOUT_S = 5.0
-# How often the accept loop looks for a stop request; bounds stop().
-ACCEPT_TIMEOUT_S = 0.05
 
 
-class RawListener:
+class RawListener(Listener, socketserver.ThreadingTCPServer):
+    request_queue_size = 16
+
     def __init__(
         self,
         host: str,
         port: int,
         banner: Callable[[socket.socket], bytes],
-        *,
-        tls_context: Optional[ssl.SSLContext] = None,
-        allowlist: Optional[frozenset[str]] = None,
+        **listener,
     ):
-        self.host = host
-        self.port = port
         self._banner = banner
-        self._tls_context = tls_context
-        self._allowlist = allowlist
-        self._stop = threading.Event()
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen(16)
-        self._thread = threading.Thread(
-            target=self._accept_loop, name=f"raw-{port}", daemon=True
-        )
+        super().__init__((host, port), None, **listener)
 
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-        if self._thread.ident is not None:  # never started: nothing to join
-            self._thread.join(timeout=3)
-
-    def _accept_loop(self) -> None:
-        self._sock.settimeout(ACCEPT_TIMEOUT_S)
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if self._allowlist is not None and addr[0] not in self._allowlist:
-                conn.close()  # close without a byte: policy drop
-                continue
-            worker = threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            )
-            worker.start()
+    def finish_request(self, request, client_address) -> None:
+        self._serve(request)
 
     def _serve(self, conn: socket.socket) -> None:
         try:
-            if self._tls_context is not None:
+            if self.tls_context is not None:
                 try:
-                    conn = self._tls_context.wrap_socket(conn, server_side=True)
+                    conn = self.tls_context.wrap_socket(conn, server_side=True)
                 except (ssl.SSLError, OSError):
                     return
             try:

@@ -208,6 +208,25 @@ def test_testbed_down_without_state(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("utmaudit: ")
 
 
+def test_testbed_down_leaves_a_stale_pid_alone(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    child = subprocess.Popen(["sleep", "30"])
+    try:
+        state.write_text(json.dumps({
+            "pid": child.pid, "manifest": "gone", "port_base": _closed_port(),
+        }))
+        assert cli.main(["testbed", "down", "--state", str(state)]) == 2
+        assert capsys.readouterr().err == (
+            f"utmaudit: stale testbed state at {state}; "
+            f"pid {child.pid} not signalled\n"
+        )
+        assert not state.exists()
+        assert child.poll() is None
+    finally:
+        child.kill()
+        child.wait(timeout=10)
+
+
 def _closed_port() -> int:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))

@@ -1,13 +1,13 @@
 """LOG checks against a stub log repository that answers malformed bodies."""
 
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 from utmaudit.logaudit import check_logs
 from utmaudit.manifest import parse_manifest
 from utmaudit.results import CheckStatus
+from utmaudit.testbed import httpbase
 from utmaudit.wire import HttpClient
 
 from .oracles.token_signing import make_token
@@ -53,8 +53,10 @@ def stub_repo():
     servers = []
 
     def start(**bodies):
-        server = ThreadingHTTPServer(("127.0.0.1", 0), type("Repo", (_StubRepo,), bodies))
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        server = httpbase.TestbedHttpServer(
+            ("127.0.0.1", 0), type("Repo", (_StubRepo,), bodies), None
+        )
+        server.start()
         servers.append(server)
         return parse_manifest(f"""\
 [target]
@@ -78,8 +80,7 @@ write = POST /records scope=logs.write
 
     yield start
     for server in servers:
-        server.shutdown()
-        server.server_close()
+        server.stop()
 
 
 def _mint(**_):

@@ -1,8 +1,7 @@
 import json
 import socket
 import struct
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -21,6 +20,7 @@ from utmaudit.sqliprobe import (
     scan_inject_target,
     summarize_response,
 )
+from utmaudit.testbed import httpbase
 from utmaudit.testbed.store import IsaStore, QueryError
 from utmaudit.wire import HttpClient
 
@@ -156,17 +156,14 @@ def isa_server():
         handler = type(
             "Handler", (_IsaHandler,), {"store": IsaStore(), "concat": concat}
         )
-        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        servers.append((server, thread))
+        server = httpbase.TestbedHttpServer(("127.0.0.1", 0), handler, None)
+        server.start()
+        servers.append(server)
         return server.server_address[1]
 
     yield start
-    for server, thread in servers:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2)
+    for server in servers:
+        server.stop()
 
 
 def _manifest(port):
@@ -259,15 +256,12 @@ def test_payloads_dropped_at_transport_are_not_assessable():
     handler = type(
         "Handler", (_PayloadResetHandler,), {"store": IsaStore(), "concat": True}
     )
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = httpbase.TestbedHttpServer(("127.0.0.1", 0), handler, None)
+    server.start()
     try:
         result = check_sql_injection(_manifest(server.server_address[1]), HttpClient())
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2)
+        server.stop()
     count = len(load_corpus())
     assert result.status is CheckStatus.NOT_ASSESSABLE
     assert result.evidence == [

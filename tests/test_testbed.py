@@ -9,7 +9,7 @@ from cryptography.hazmat.primitives.asymmetric import rsa
 
 from utmaudit.manifest import ComponentRole
 from utmaudit.oauthaudit import estimate_secret_strength
-from utmaudit.testbed import harness, tokens
+from utmaudit.testbed import harness, httpbase, tokens
 from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
 from utmaudit.testbed.rawlisteners import make_kms
 from utmaudit.testbed.toggles import (
@@ -383,6 +383,28 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
 def test_stopping_an_unstarted_listener_returns_quietly():
     listener = make_kms("127.0.0.1", 0)
     listener.stop()
+
+
+@pytest.mark.parametrize(
+    "make_listener",
+    [
+        lambda: httpbase.TestbedHttpServer(
+            ("127.0.0.1", 0), httpbase.JsonHandler, None
+        ),
+        lambda: make_kms("127.0.0.1", 0),
+    ],
+    ids=["http", "raw"],
+)
+def test_stop_wakes_an_accept_that_blocks(make_listener):
+    listener = make_listener()
+    listener.start()
+    # one answered connection shows the accept loop is running
+    with socket.create_connection(listener.server_address, timeout=2) as conn:
+        conn.sendall(b"GET / HTTP/1.0\r\n\r\n")
+        assert conn.recv(64)
+    assert listener.socket.gettimeout() is None
+    listener.stop()
+    assert not listener._thread.is_alive()
 
 
 def test_port_clash_surfaces_as_oserror_so_start_can_retry():
