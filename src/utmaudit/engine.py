@@ -9,6 +9,7 @@ Finding per failure, and renders the whole thing as JSON or text.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import json
 import time
@@ -425,7 +426,11 @@ def run_audit(
 
     areas = [a for a in AREA_ORDER if active[a]]
     collected: dict[str, CheckResult] = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(areas) or 1) as pool:
+    # The pool joins every area before the client closes its idle
+    # connections, so no connection outlives the scan, even on error.
+    with contextlib.closing(http), concurrent.futures.ThreadPoolExecutor(
+        max_workers=len(areas) or 1
+    ) as pool:
         futures = {pool.submit(workers[a]): a for a in areas}
         for future in concurrent.futures.as_completed(futures):
             area = futures[future]

@@ -101,17 +101,25 @@ class TestbedHttpServer(Listener, ThreadingHTTPServer):
         super().__init__(address, handler_class, **listener)
 
     def finish_request(self, request, client_address) -> None:
-        if self.tls_context is not None:
-            request.settimeout(15)
+        """Serve every request of one kept-alive connection."""
+        if self.tls_context is None:
+            self.RequestHandlerClass(request, client_address, self)
+            return
+        request.settimeout(15)
+        try:
+            request = self.tls_context.wrap_socket(request, server_side=True)
+        except (ssl.SSLError, OSError):
             try:
-                request = self.tls_context.wrap_socket(request, server_side=True)
-            except (ssl.SSLError, OSError):
-                try:
-                    request.close()
-                except OSError:
-                    pass
-                return
-        self.RequestHandlerClass(request, client_address, self)
+                request.close()
+            except OSError:
+                pass
+            return
+        try:
+            self.RequestHandlerClass(request, client_address, self)
+        finally:
+            # socketserver shuts down only the socket it accepted, which the
+            # wrap detached; the wrapped one is this method's to close.
+            self.shutdown_request(request)
 
 
 def https_context(
@@ -129,6 +137,9 @@ def https_context(
 
 class JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; on a kept-alive
+    # connection Nagle would hold the body back for the client's delayed ACK.
+    disable_nagle_algorithm = True
     server_version = "testbed"
     sys_version = ""
 

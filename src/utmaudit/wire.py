@@ -1,11 +1,28 @@
 """HTTP/TLS transport for probes.
 
-One connection per request (Connection: close) so probes never share sockets,
-with per-request control over two things ordinary HTTP clients hide:
+Per request the caller controls two things ordinary HTTP clients hide:
 
 - source address binding, to present either the scanner's plain ("external")
   vantage or a declared allowlisted vantage;
 - whether the configured client certificate is offered during the handshake.
+
+Connections are kept alive and pooled per (scheme, host, port, source
+vantage, client certificate offered), so a probe never rides a connection
+opened from another vantage or under another TLS identity. A request takes an
+idle connection of its key or opens one, reads the whole response, and hands
+the connection back unless the server said it will close it. Any failure
+closes the connection. `HttpClient.close()` closes every idle connection.
+
+A reused connection that fails before any status line arrives
+(RemoteDisconnected, ConnectionResetError, BrokenPipeError) lost the race with
+a server closing it while idle. That request alone is sent once more, on a
+fresh connection; every other failure raises WireError at once, and
+`max_retries` retries it as before.
+
+`timeout_s` bounds each connect and send, and it is the request's deadline:
+the status line, headers and body must all arrive within `timeout_s` of the
+request's start, however slowly the server drips them. The body is read in
+chunks up to MAX_BODY_BYTES. Either limit raises WireError.
 
 The server certificate is verified against the target's CA whenever one is
 configured.
@@ -15,16 +32,26 @@ Redirects are never followed; probes inspect Location headers themselves.
 
 from __future__ import annotations
 
+import functools
 import http.client
+import io
 import json
 import socket
 import ssl
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from typing import Any, Optional
 
 DEFAULT_TIMEOUT_S = 5.0
+# Far above the largest body a scan reads: the testbed's whole log listing.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+_READ_CHUNK = 64 * 1024
+# How a reused connection fails when its server closed it while idle.
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+# OSError covers refused and reset connections, TLS failures and timeouts.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
 
 
 class WireError(Exception):
@@ -66,7 +93,8 @@ class HttpResponse:
 
 
 class HttpClient:
-    """Thread-safe: contexts are built once, each request opens its own socket."""
+    """Thread-safe: one lock guards the idle pool and the TLS contexts, and a
+    connection serves one request at a time."""
 
     def __init__(
         self,
@@ -81,12 +109,23 @@ class HttpClient:
         self.client_key = client_key
         self.allowlisted_source = allowlisted_source
         self.timeout_s = timeout_s
+        self._lock = threading.Lock()
         self._contexts: dict[bool, ssl.SSLContext] = {}
+        self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
 
-    # -- TLS context cache -------------------------------------------------
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+    # -- TLS contexts and connections --------------------------------------
 
     def _context(self, with_cert: bool) -> ssl.SSLContext:
-        """The server certificate is verified whenever a CA is configured."""
+        """The server certificate is verified whenever a CA is configured.
+        Callers hold the lock, so each context is built once."""
         if with_cert not in self._contexts:
             if self.ca_path is not None:
                 ctx = ssl.create_default_context(cafile=self.ca_path)
@@ -111,6 +150,32 @@ class HttpClient:
             return (self.allowlisted_source, 0)
         raise ValueError(f"unknown source vantage {source!r}")
 
+    def _connect(
+        self, scheme: str, host: str, port: int, source: str, with_cert: bool
+    ) -> http.client.HTTPConnection:
+        """A new connection for the pool key; it connects on its first request."""
+        source_address = self._source_address(source)
+        if scheme == "http":
+            return http.client.HTTPConnection(
+                host, port, timeout=self.timeout_s, source_address=source_address
+            )
+        with self._lock:
+            context = self._context(with_cert)
+        return http.client.HTTPSConnection(
+            host, port, timeout=self.timeout_s, source_address=source_address,
+            context=context,
+        )
+
+    def _checkout(self, key: tuple) -> Optional[http.client.HTTPConnection]:
+        with self._lock:
+            idle = self._idle.get(key)
+            return idle.pop() if idle else None
+
+    def _checkin(self, key: tuple, conn: http.client.HTTPConnection) -> None:
+        conn.sock.settimeout(self.timeout_s)  # reads shortened it to the deadline
+        with self._lock:
+            self._idle.setdefault(key, []).append(conn)
+
     # -- Requests ----------------------------------------------------------
 
     def request(
@@ -134,7 +199,7 @@ class HttpClient:
         if parts.query:
             path += "?" + parts.query
 
-        send_headers = {"Connection": "close"}
+        send_headers = {}
         if form is not None:
             body = urllib.parse.urlencode(form).encode("ascii")
             send_headers["Content-Type"] = "application/x-www-form-urlencoded"
@@ -166,35 +231,101 @@ class HttpClient:
         source: str,
         present_client_cert: bool,
     ) -> HttpResponse:
-        source_address = self._source_address(source)
+        key = (scheme, host, port, source, present_client_cert)
+        deadline = time.monotonic() + self.timeout_s
+        conn = self._checkout(key)
+        reused = conn is not None
         try:
-            if scheme == "https":
-                conn: http.client.HTTPConnection = http.client.HTTPSConnection(
-                    host,
-                    port,
-                    timeout=self.timeout_s,
-                    source_address=source_address,
-                    context=self._context(present_client_cert),
-                )
-            else:
-                conn = http.client.HTTPConnection(
-                    host, port, timeout=self.timeout_s, source_address=source_address
-                )
+            if conn is None:
+                conn = self._connect(*key)
             try:
-                conn.request(method, path, body=body, headers=headers)
-                resp = conn.getresponse()
-                payload = resp.read()
-                return HttpResponse(
-                    status=resp.status, headers=list(resp.getheaders()), body=payload
-                )
-            finally:
+                resp = _send(conn, method, path, body, headers, deadline)
+            except _STALE:
+                if not reused:
+                    raise
+                conn.close()  # closed by the server while idle: once more, fresh
+                conn = self._connect(*key)
+                resp = _send(conn, method, path, body, headers, deadline)
+            payload = _read_body(resp)
+        except BaseException as exc:
+            if conn is not None:
                 conn.close()
-        except (
-            ConnectionError,
-            ssl.SSLError,
-            socket.timeout,
-            TimeoutError,
-            OSError,
-            http.client.HTTPException,
-        ) as exc:
-            raise WireError(f"{method} {scheme}://{host}:{port}{path}: {exc}") from exc
+            if isinstance(exc, _TRANSPORT_ERRORS):
+                raise WireError(
+                    f"{method} {scheme}://{host}:{port}{path}: {exc}"
+                ) from exc
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._checkin(key, conn)
+        return HttpResponse(
+            status=resp.status, headers=list(resp.getheaders()), body=payload
+        )
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket as a response reads it: each read waits only for the time
+    left before the request's deadline."""
+
+    def __init__(self, sock: socket.socket, deadline: float):
+        self._sock = sock
+        # An open file of the socket defers its close until the response is
+        # read, as HTTPResponse's own sock.makefile() does.
+        self._file = sock.makefile("rb", buffering=0)
+        self._deadline = deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)  # HTTPResponse reads sock.makefile("rb")
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("timed out at the request deadline")
+        self._sock.settimeout(left)
+        return self._file.readinto(buffer)
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+class _Response(http.client.HTTPResponse):
+    def __init__(self, sock, *args, deadline: float, **kwargs):
+        super().__init__(_DeadlineReader(sock, deadline), *args, **kwargs)
+
+
+def _send(
+    conn: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    body: Optional[bytes],
+    headers: dict,
+    deadline: float,
+) -> http.client.HTTPResponse:
+    """Send one request; return once its status line and headers are read."""
+    conn.response_class = functools.partial(_Response, deadline=deadline)
+    conn.request(method, path, body=body, headers=headers)
+    return conn.getresponse()
+
+
+def _read_body(resp: http.client.HTTPResponse) -> bytes:
+    """The whole body, read in chunks up to MAX_BODY_BYTES. The response is
+    closed on the way out, so a failed read leaves no socket open."""
+    chunks: list[bytes] = []
+    size = 0
+    with resp:
+        while chunk := resp.read(_READ_CHUNK):
+            size += len(chunk)
+            if size > MAX_BODY_BYTES:
+                # http.client's own limits on header lines raise this family too
+                raise http.client.HTTPException(
+                    f"response body over {MAX_BODY_BYTES} bytes"
+                )
+            chunks.append(chunk)
+        if resp.length:  # the server closed before its Content-Length was met
+            raise http.client.IncompleteRead(b"".join(chunks), resp.length)
+    return b"".join(chunks)

@@ -6,6 +6,7 @@ mutating these, or read the first scan of a fresh instance from
 ``first_scans``.
 """
 
+import contextlib
 import functools
 import time
 
@@ -15,6 +16,14 @@ from utmaudit.engine import run_audit
 from utmaudit.testbed.harness import start_testbed
 
 from .goldens import first_scan
+
+
+@pytest.fixture
+def close_after():
+    """``close_after(client)`` returns ``client`` and closes it when the
+    test ends, so none of its pooled connections outlives the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda client: stack.enter_context(contextlib.closing(client))
 
 
 @pytest.fixture(scope="session")

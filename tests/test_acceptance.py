@@ -108,7 +108,7 @@ def test_ac4_registry_is_the_full_27_check_catalog():
         assert d.severity is not None, d.check_id
 
 
-def test_ac5_hash_vectors_and_confusion_forgery(secure_testbed):
+def test_ac5_hash_vectors_and_confusion_forgery(secure_testbed, close_after):
     # published single- and two-block SHA-256 vectors, plus HMAC vectors
     assert (
         sha256_hex(b"abc")
@@ -134,7 +134,7 @@ def test_ac5_hash_vectors_and_confusion_forgery(secure_testbed):
     # a confusion forgery over a live token must be exactly HMAC-SHA256
     # keyed with the verifier's public key bytes
     manifest = secure_testbed.manifest
-    http = _client_for(manifest)
+    http = close_after(_client_for(manifest))
     mint = oauthaudit.make_mint(manifest, http)
     base = mint()
     assert base is not None
@@ -189,9 +189,9 @@ def test_ac6_single_record_mutations_are_located_exactly():
     assert hits == trials
 
 
-def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed):
+def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed, close_after):
     manifest = secure_testbed.manifest
-    http = _client_for(manifest)
+    http = close_after(_client_for(manifest))
     mint = oauthaudit.make_mint(manifest, http)
     services = jwtkit.token_services(manifest)
     assert len(services) >= 2

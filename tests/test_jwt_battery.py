@@ -46,13 +46,13 @@ class _LogRepoDown(HttpClient):
         return super().request(method, url, **kwargs)
 
 
-def test_transport_error_on_one_service_keeps_a_fail_elsewhere():
+def test_transport_error_on_one_service_keeps_a_fail_elsewhere(close_after):
     tb = start_testbed(("accept-none-alg",))
     try:
         manifest = tb.manifest
         logs = manifest.component("log-repo")
-        http = _client(manifest, _LogRepoDown,
-                       down_port=logs.primary_endpoint().port)
+        http = close_after(_client(manifest, _LogRepoDown,
+                                   down_port=logs.primary_endpoint().port))
         result = _battery(manifest, http, ["JWT-06"])["JWT-06"]
     finally:
         tb.stop()
@@ -63,12 +63,14 @@ def test_transport_error_on_one_service_keeps_a_fail_elsewhere():
     assert any(line.startswith("log-repo: ") for line in result.evidence), result.evidence
 
 
-def test_malformed_jwks_costs_only_the_confusion_check(secure_testbed, secure_audit):
+def test_malformed_jwks_costs_only_the_confusion_check(
+    secure_testbed, secure_audit, close_after,
+):
     report, _ = secure_audit
     expected = {r.check_id: r for r in report.results if r.check_id.startswith("JWT-")}
     manifest = secure_testbed.manifest
     results = _battery(
-        manifest, _client(manifest), JWT_IDS,
+        manifest, close_after(_client(manifest)), JWT_IDS,
         keys={"keys": [{"kty": "RSA", "n": "!!", "e": "AQAB"}]},
     )
     assert list(results) == JWT_IDS
@@ -93,15 +95,15 @@ class _AnonymousReadsAllowed(HttpClient):
 
 
 def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
-    secure_testbed,
+    secure_testbed, close_after,
 ):
     manifest = secure_testbed.manifest
-    mint = make_mint(manifest, _client(manifest))
+    mint = make_mint(manifest, close_after(_client(manifest)))
     anchor = jwtkit.token_services(manifest)[0]
     live = mint(scope=anchor.read.scope, audience=anchor.audience)
     ids = ["JWT-02", "JWT-05", "JWT-06", "JWT-07", "JWT-09"]
     results = jwtkit.run_jwt_battery(
-        manifest, live, http=_client(manifest, _AnonymousReadsAllowed),
+        manifest, live, http=close_after(_client(manifest, _AnonymousReadsAllowed)),
         mint=mint, wanted=ids,
     )
     services = jwtkit.token_services(manifest)
@@ -147,11 +149,13 @@ class _JwksUnreadable(HttpClient):
     ("transport", "GET {url}: timed out"),
     ("keys-string", "keys is not a list of objects"),
 ])
-def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reason):
+def test_unreadable_jwks_leaves_jwt04_not_assessable(
+    secure_testbed, close_after, fault, reason,
+):
     manifest = secure_testbed.manifest
     server = manifest.oauth_server()
     url = server.primary_endpoint().url(server.jwks_path)
-    http = _client(manifest, _JwksUnreadable, jwks_url=url, fault=fault)
+    http = close_after(_client(manifest, _JwksUnreadable, jwks_url=url, fault=fault))
     results = _battery(manifest, http, ["JWT-04", "JWT-07"])
     line = f"{server.id} JWKS {server.jwks_path}: " + reason.format(url=url)
     assert results["JWT-04"].status is CheckStatus.NOT_ASSESSABLE
@@ -162,11 +166,13 @@ def test_unreadable_jwks_leaves_jwt04_not_assessable(secure_testbed, fault, reas
 
 
 @pytest.mark.parametrize("fault", ["rsa-without-n", "rsa-n-not-text"])
-def test_rsa_jwk_without_usable_n_e_leaves_jwt07_not_assessable(secure_testbed, fault):
+def test_rsa_jwk_without_usable_n_e_leaves_jwt07_not_assessable(
+    secure_testbed, close_after, fault,
+):
     manifest = secure_testbed.manifest
     server = manifest.oauth_server()
     url = server.primary_endpoint().url(server.jwks_path)
-    http = _client(manifest, _JwksUnreadable, jwks_url=url, fault=fault)
+    http = close_after(_client(manifest, _JwksUnreadable, jwks_url=url, fault=fault))
     results = _battery(manifest, http, ["JWT-04", "JWT-07"])
     assert results["JWT-04"].status is CheckStatus.PASS
     assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE

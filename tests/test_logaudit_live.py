@@ -1,5 +1,6 @@
 """LOG checks against a stub log repository that answers malformed bodies."""
 
+import contextlib
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -88,7 +89,8 @@ def _mint(**_):
 
 
 def _check_logs(manifest):
-    results = check_logs(manifest, _mint, HttpClient(timeout_s=2.0), LOG_IDS)
+    with contextlib.closing(HttpClient(timeout_s=2.0)) as http:
+        results = check_logs(manifest, _mint, http, LOG_IDS)
     return {r.check_id: r for r in results}
 
 

@@ -187,37 +187,37 @@ inject = GET /isa param=area baseline=zone-a
     return parse_manifest(text.encode())
 
 
-def test_concatenating_route_is_flagged(isa_server):
+def test_concatenating_route_is_flagged(isa_server, close_after):
     port = isa_server(concat=True)
     manifest = _manifest(port)
     comp = manifest.component("gw")
-    result = fold("DB-02", scan_inject_target(comp, comp.inject, HttpClient()))
+    result = fold("DB-02", scan_inject_target(comp, comp.inject, close_after(HttpClient())))
     assert result.status is CheckStatus.FAIL
     joined = "\n".join(result.evidence)
     assert "error signature" in joined
     assert "boolean differential" in joined
 
 
-def test_parameterized_route_is_clean(isa_server):
+def test_parameterized_route_is_clean(isa_server, close_after):
     port = isa_server(concat=False)
     manifest = _manifest(port)
     comp = manifest.component("gw")
-    result = fold("DB-02", scan_inject_target(comp, comp.inject, HttpClient()))
+    result = fold("DB-02", scan_inject_target(comp, comp.inject, close_after(HttpClient())))
     assert result.status is CheckStatus.PASS
     assert any("no error signatures" in line for line in result.evidence)
 
 
-def test_check_fails_on_vulnerable_gateway(isa_server):
+def test_check_fails_on_vulnerable_gateway(isa_server, close_after):
     port = isa_server(concat=True)
-    result = check_sql_injection(_manifest(port), HttpClient())
+    result = check_sql_injection(_manifest(port), close_after(HttpClient()))
     assert result.check_id == "DB-02"
     assert result.status is CheckStatus.FAIL
     assert result.component_id == "gw"
 
 
-def test_check_passes_on_safe_gateway(isa_server):
+def test_check_passes_on_safe_gateway(isa_server, close_after):
     port = isa_server(concat=False)
-    result = check_sql_injection(_manifest(port), HttpClient())
+    result = check_sql_injection(_manifest(port), close_after(HttpClient()))
     assert result.status is CheckStatus.PASS
 
 
@@ -228,12 +228,12 @@ def test_unreachable_gateway_not_assessable():
     assert result.status is CheckStatus.NOT_ASSESSABLE
 
 
-def test_scan_repeats_identically(isa_server):
+def test_scan_repeats_identically(isa_server, close_after):
     port = isa_server(concat=True)
     manifest = _manifest(port)
     comp = manifest.component("gw")
-    first = scan_inject_target(comp, comp.inject, HttpClient())
-    second = scan_inject_target(comp, comp.inject, HttpClient())
+    first = scan_inject_target(comp, comp.inject, close_after(HttpClient()))
+    second = scan_inject_target(comp, comp.inject, close_after(HttpClient()))
     assert first == second
 
 
@@ -252,14 +252,16 @@ class _PayloadResetHandler(_IsaHandler):
         self.close_connection = True
 
 
-def test_payloads_dropped_at_transport_are_not_assessable():
+def test_payloads_dropped_at_transport_are_not_assessable(close_after):
     handler = type(
         "Handler", (_PayloadResetHandler,), {"store": IsaStore(), "concat": True}
     )
     server = httpbase.TestbedHttpServer(("127.0.0.1", 0), handler, None)
     server.start()
     try:
-        result = check_sql_injection(_manifest(server.server_address[1]), HttpClient())
+        result = check_sql_injection(
+            _manifest(server.server_address[1]), close_after(HttpClient())
+        )
     finally:
         server.stop()
     count = len(load_corpus())

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import socket
@@ -108,8 +109,8 @@ def test_manifest_describes_running_deployment(secure):
     assert m.audit_fixture is True
 
 
-def test_validator_stages_on_secure(secure):
-    http = _client(secure)
+def test_validator_stages_on_secure(secure, close_after):
+    http = close_after(_client(secure))
     gateway = f"https://127.0.0.1:{secure.port(1)}"
     read = _mint(secure, http, "utm.read", "gateway")
 
@@ -166,8 +167,8 @@ def test_validator_stages_on_secure(secure):
     assert r.status == 401
 
 
-def test_fixture_params_yield_expired_but_valid_token(secure):
-    http = _client(secure)
+def test_fixture_params_yield_expired_but_valid_token(secure, close_after):
+    http = close_after(_client(secure))
     expired = _mint(
         secure, http, "utm.read", "gateway",
         x_lifetime_s="60", x_iat_offset_s="-3600",
@@ -181,8 +182,8 @@ def test_fixture_params_yield_expired_but_valid_token(secure):
     assert claims["exp"] < __import__("time").time()
 
 
-def test_restricted_services_drop_external_sources(secure):
-    http = _client(secure)
+def test_restricted_services_drop_external_sources(secure, close_after):
+    http = close_after(_client(secure))
     for offset in (3, 4):
         with pytest.raises(WireError):
             http.request(
@@ -196,10 +197,10 @@ def test_at_rest_file_has_no_marker_on_secure(secure):
     assert b"ISA_RECORD" not in blob
 
 
-def test_none_alg_toggle_accepts_forgery():
+def test_none_alg_toggle_accepts_forgery(close_after):
     tb = start_testbed(["accept-none-alg"])
     try:
-        http = _client(tb)
+        http = close_after(_client(tb))
         read = _mint(tb, http, "utm.read", "gateway")
         import base64
 
@@ -215,10 +216,10 @@ def test_none_alg_toggle_accepts_forgery():
         tb.stop()
 
 
-def test_scope_toggle_lets_read_token_write():
+def test_scope_toggle_lets_read_token_write(close_after):
     tb = start_testbed(["no-scope-check"])
     try:
-        http = _client(tb)
+        http = close_after(_client(tb))
         read = _mint(tb, http, "utm.read", "gateway")
         body = json.dumps({"area": "zone-z", "owner": "t"}).encode()
         r = http.request(
@@ -244,8 +245,8 @@ def test_plaintext_store_toggle_writes_marker():
         tb.stop()
 
 
-def test_worm_probes_on_secure(secure):
-    http = _client(secure)
+def test_worm_probes_on_secure(secure, close_after):
+    http = close_after(_client(secure))
     write = _mint(secure, http, "logs.write", "logs")
     base = f"https://127.0.0.1:{secure.port(4)}"
     auth = {"Authorization": f"Bearer {write}"}
@@ -340,7 +341,8 @@ def test_weak_secret_always_shows_the_full_hex_alphabet():
 
 
 def _jwks_kid(tb):
-    resp = _client(tb).request("GET", f"https://127.0.0.1:{tb.port(0)}/jwks.json")
+    with contextlib.closing(_client(tb)) as http:
+        resp = http.request("GET", f"https://127.0.0.1:{tb.port(0)}/jwks.json")
     return resp.json()["keys"][0]["kid"]
 
 

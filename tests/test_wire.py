@@ -1,0 +1,298 @@
+"""The probe transport: pooled connections, the stale retry, the request
+deadline and the body cap, against stub servers and the secure testbed."""
+
+import gc
+import http.client
+import socket
+import ssl
+import struct
+import sys
+import threading
+import time
+import warnings
+
+import pytest
+
+from utmaudit import wire
+from utmaudit.engine import run_audit
+from utmaudit.testbed import httpbase
+from utmaudit.wire import HttpClient, WireError
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Every HTTP(S) connection opened while the test runs, in order."""
+    opened = []
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        opened.append(self)
+        return real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return opened
+
+
+@pytest.fixture
+def http_stub():
+    """``http_stub(handler, tls=None)`` serves ``handler`` on a loopback
+    port and returns that port; every stub stops when the test ends."""
+    servers = []
+
+    def start(handler, tls=None):
+        server = httpbase.TestbedHttpServer(
+            ("127.0.0.1", 0), handler, None, tls_context=tls
+        )
+        server.start()
+        servers.append(server)
+        return server.server_address[1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+@pytest.fixture
+def raw_stub():
+    """``raw_stub(script)`` accepts one connection on a loopback port and
+    runs ``script(conn, stop)`` on it; ``stop`` is set when the test ends."""
+    stop = threading.Event()
+    threads = []
+
+    def start(script):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            with listener:
+                conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)  # the request
+                script(conn, stop)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return listener.getsockname()[1]
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+class _Echo(httpbase.JsonHandler):
+    """Answers who asked: peer address, port and whether it offered a
+    client certificate."""
+
+    def do_GET(self):
+        host, port = self.client_address
+        self.send_json(200, {
+            "host": host, "port": port, "cert": self.peer_cert_present(),
+        })
+
+
+class _ClosesWhenIdle(_Echo):
+    """HTTP/1.1 without ``Connection: close``, yet it closes the connection
+    after every response, as a server does on its idle timeout. It records
+    every path it serves in ``seen``."""
+
+    seen: list
+
+    def do_GET(self):
+        self.seen.append(self.path)
+        super().do_GET()
+        self.close_connection = True
+
+
+class _Resets(httpbase.JsonHandler):
+    def do_GET(self):
+        self.connection.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        self.close_connection = True
+
+
+def test_one_scan_reuses_connections_and_leaves_none_open(secure_testbed, connects):
+    report = run_audit(secure_testbed.manifest)
+    assert report.summary()["pass"] == 26
+    # 71 wire requests ride on a few connections per (target, vantage,
+    # identity), and run_audit closes every one of them before it returns
+    assert 0 < len(connects) <= 12
+    assert all(conn.sock is None for conn in connects)
+
+
+def test_a_connection_closed_while_idle_is_replaced_once(http_stub, connects):
+    seen = []
+    port = http_stub(type("Handler", (_ClosesWhenIdle,), {"seen": seen}))
+    http = HttpClient()
+    try:
+        first = http.request("GET", f"http://127.0.0.1:{port}/one")
+        second = http.request("GET", f"http://127.0.0.1:{port}/two")
+    finally:
+        http.close()
+    assert (first.status, second.status) == (200, 200)
+    assert seen == ["/one", "/two"]
+    assert len(connects) == 2
+
+
+def test_a_fresh_connection_that_is_reset_is_not_retried(http_stub, connects):
+    port = http_stub(_Resets)
+    http = HttpClient()
+    try:
+        with pytest.raises(WireError):
+            http.request("GET", f"http://127.0.0.1:{port}/")
+    finally:
+        http.close()
+    assert len(connects) == 1
+
+
+def test_connections_are_never_shared_across_identity_or_vantage(
+    secure_testbed, http_stub, connects,
+):
+    paths = secure_testbed.cert_paths
+    port = http_stub(
+        _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
+    )
+    url = f"https://127.0.0.1:{port}/"
+    http = HttpClient(
+        ca_path=paths.ca_cert, client_cert=paths.client_cert,
+        client_key=paths.client_key, allowlisted_source="127.0.0.2",
+    )
+
+    def ask(**kwargs):
+        doc = http.request("GET", url, **kwargs).json()
+        return doc["host"], doc["cert"], doc["port"]
+
+    try:
+        plain = ask()
+        with_cert = ask(present_client_cert=True)
+        plain_again = ask()
+        allowlisted = ask(source="allowlisted")
+        allowlisted_cert = ask(source="allowlisted", present_client_cert=True)
+    finally:
+        http.close()
+    assert plain[:2] == ("127.0.0.1", False)
+    assert with_cert[:2] == ("127.0.0.1", True)
+    assert plain_again == plain  # the same connection, reused
+    assert allowlisted[:2] == ("127.0.0.2", False)
+    assert allowlisted_cert[:2] == ("127.0.0.2", True)
+    assert len(connects) == 4
+    assert len({plain[2], with_cert[2], allowlisted[2], allowlisted_cert[2]}) == 4
+
+
+def test_concurrent_requests_build_each_tls_context_once(
+    secure_testbed, http_stub, monkeypatch,
+):
+    paths = secure_testbed.cert_paths
+    port = http_stub(
+        _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
+    )
+    builds = []
+    real_create = ssl.create_default_context
+
+    def slow_counting(*args, **kwargs):
+        builds.append(1)
+        time.sleep(0.05)  # widens any window between the check and the build
+        return real_create(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "create_default_context", slow_counting)
+    http = HttpClient(
+        ca_path=paths.ca_cert, client_cert=paths.client_cert,
+        client_key=paths.client_key,
+    )
+    workers = 8
+    barrier = threading.Barrier(workers)
+    statuses = []
+
+    def fetch():
+        barrier.wait(timeout=10)
+        resp = http.request(
+            "GET", f"https://127.0.0.1:{port}/", present_client_cert=True
+        )
+        statuses.append(resp.status)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fetch) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        http.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [200] * workers
+    assert len(builds) == 1
+
+
+def _drip(prefix: bytes, rest: bytes):
+    def script(conn, stop):
+        conn.sendall(prefix)
+        for byte in rest:
+            if stop.wait(0.3):
+                return
+            try:
+                conn.sendall(bytes([byte]))
+            except OSError:
+                return  # the client gave up
+    return script
+
+
+_RESPONSE_HEAD = b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n\r\n"
+
+
+@pytest.mark.parametrize("prefix, rest", [
+    (_RESPONSE_HEAD, b"hello world!"),
+    (b"", _RESPONSE_HEAD + b"hello world!"),
+], ids=["body", "status-and-headers"])
+def test_a_dripped_response_ends_at_the_request_deadline(
+    raw_stub, connects, prefix, rest,
+):
+    port = raw_stub(_drip(prefix, rest))
+    http = HttpClient(timeout_s=0.5)
+    started = time.monotonic()
+    try:
+        with pytest.raises(WireError, match="timed out"):
+            http.request("GET", f"http://127.0.0.1:{port}/")
+    finally:
+        http.close()
+    assert time.monotonic() - started < 1.5  # a drip once held it 3.6 s
+    assert all(conn.sock is None for conn in connects)
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\nContent-Length: 4096\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n",
+], ids=["content-length", "until-close"])
+def test_a_body_over_the_cap_is_refused(raw_stub, connects, monkeypatch, head):
+    monkeypatch.setattr(wire, "MAX_BODY_BYTES", 1024)
+    port = raw_stub(lambda conn, stop: conn.sendall(head + b"x" * 4096))
+    http = HttpClient()
+    try:
+        with pytest.raises(WireError, match="response body over 1024 bytes"):
+            http.request("GET", f"http://127.0.0.1:{port}/")
+    finally:
+        http.close()
+    assert all(conn.sock is None for conn in connects)
+
+
+def test_a_scan_leaves_no_socket_unclosed_on_either_side(secure_testbed):
+    before = set(threading.enumerate())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        run_audit(secure_testbed.manifest)
+        # the testbed's connection threads end once the scanner has closed
+        # its connections; each closes its socket on the way out
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=5)
+            assert not thread.is_alive(), thread
+        gc.collect()
+    unclosed = [
+        str(w.message) for w in caught
+        if issubclass(w.category, ResourceWarning)
+        and "socket" in str(w.message).lower()
+    ]
+    assert unclosed == []
