@@ -1,13 +1,21 @@
 """Transport-level reachability probing and the two visibility-zone checks.
 
-A probe opens one TCP connection and sends nothing. Classification:
+A probe opens one TCP connection and at once sends the greeting of the
+endpoint's scheme: one TLS ClientHello record for ``https`` and ``tcp``
+(no certificate, no SNI), ``HEAD / HTTP/1.0`` for ``http``. The greeting
+only makes a listening service answer early; it never decides an outcome
+on its own. Decision table:
 
-- refused at connect, or accepted and closed by the peer before any data
-  arrives within the settle window, counts as ConnectRefused (the second
-  pattern is how an allowlist enforcer drops unwanted peers);
-- data received, or the connection still open after the settle window,
-  counts as ConnectOk;
-- no connection within the timeout counts as Timeout.
+- refused at connect, or an active network-layer rejection: ConnectRefused;
+- no connection within the timeout: Timeout;
+- any byte back from the peer: ConnectOk, at once;
+- silence for the whole settle window, connection still open: ConnectOk;
+- closed or reset by the peer after the greeting, before any byte back:
+  ambiguous, because the peer may have rejected our bytes rather than our
+  address. A silent probe on a fresh connection, with the same settle
+  window, decides it: there, a close before any data is ConnectRefused
+  (how an allowlist enforcer drops unwanted peers), and every other row
+  reads as above.
 
 A restricted endpoint that reads ConnectOk from the external vantage is
 probed once more with a longer settle window before that counts, so an
@@ -22,7 +30,10 @@ from __future__ import annotations
 import concurrent.futures
 import enum
 import errno
+import functools
 import socket
+import ssl
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -71,18 +82,43 @@ class ReachabilityObservation:
     elapsed_ms: int
 
 
-def probe_reachability(
+_HELLO_LOCK = threading.Lock()
+
+
+@functools.cache
+def _client_hello() -> bytes:
+    """One TLS ClientHello record, without certificate or SNI."""
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.check_hostname = False
+    ctx.verify_mode = ssl.CERT_NONE
+    outgoing = ssl.MemoryBIO()
+    tls = ctx.wrap_bio(ssl.MemoryBIO(), outgoing)
+    try:
+        tls.do_handshake()
+    except ssl.SSLWantReadError:
+        pass  # the ClientHello is written; the reply never comes
+    return outgoing.read()
+
+
+def _greeting(endpoint: Endpoint) -> bytes:
+    if endpoint.scheme == "http":
+        return (
+            f"HEAD / HTTP/1.0\r\nHost: {endpoint.host}:{endpoint.port}\r\n\r\n"
+        ).encode()
+    with _HELLO_LOCK:  # built once per process, not once per probe thread
+        return _client_hello()
+
+
+def _connect_and_read(
     endpoint: Endpoint,
     source: SourceBinding,
-    timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    settle_ms: int = DEFAULT_SETTLE_MS,
-    component_id: str = "",
-) -> ReachabilityObservation:
-    start = time.monotonic()
-
-    def elapsed() -> int:
-        return int((time.monotonic() - start) * 1000)
-
+    greeting: bytes,
+    timeout_ms: int,
+    settle_ms: int,
+) -> Optional[Outcome]:
+    """Connect, send ``greeting`` and wait up to the settle window for a
+    first byte. None means the peer closed or reset the connection before
+    sending any data."""
     source_address = (source.address, 0) if source.address else None
     try:
         sock = socket.create_connection(
@@ -91,47 +127,51 @@ def probe_reachability(
             source_address=source_address,
         )
     except ConnectionRefusedError:
-        return ReachabilityObservation(
-            endpoint, component_id, source.label, Outcome.CONNECT_REFUSED, elapsed()
-        )
+        return Outcome.CONNECT_REFUSED
     except (socket.timeout, TimeoutError):
-        return ReachabilityObservation(
-            endpoint, component_id, source.label, Outcome.TIMEOUT,
-            max(elapsed(), timeout_ms),
-        )
+        return Outcome.TIMEOUT
     except OSError as exc:
         if source.address and exc.errno in (errno.EADDRNOTAVAIL, errno.EINVAL):
             raise ProbeSourceError(
                 f"cannot bind source address {source.address}: {exc}"
             ) from exc
         # active network-layer rejection (host/net unreachable, reset)
-        return ReachabilityObservation(
-            endpoint, component_id, source.label, Outcome.CONNECT_REFUSED, elapsed()
-        )
+        return Outcome.CONNECT_REFUSED
 
-    try:
+    with sock:
         sock.settimeout(settle_ms / 1000.0)
         try:
+            sock.sendall(greeting)
             data = sock.recv(1)
         except (socket.timeout, TimeoutError):
-            # still open, nothing sent: a listener is there
-            return ReachabilityObservation(
-                endpoint, component_id, source.label, Outcome.CONNECT_OK, elapsed()
-            )
+            return Outcome.CONNECT_OK  # still open and silent: a listener is there
         except OSError:
-            return ReachabilityObservation(
-                endpoint, component_id, source.label, Outcome.CONNECT_REFUSED, elapsed()
-            )
-        if data:
-            return ReachabilityObservation(
-                endpoint, component_id, source.label, Outcome.CONNECT_OK, elapsed()
-            )
-        # orderly close before any data: refused by policy
-        return ReachabilityObservation(
-            endpoint, component_id, source.label, Outcome.CONNECT_REFUSED, elapsed()
-        )
-    finally:
-        sock.close()
+            return None
+        return Outcome.CONNECT_OK if data else None
+
+
+def probe_reachability(
+    endpoint: Endpoint,
+    source: SourceBinding,
+    timeout_ms: int = DEFAULT_TIMEOUT_MS,
+    settle_ms: int = DEFAULT_SETTLE_MS,
+    component_id: str = "",
+) -> ReachabilityObservation:
+    start = time.monotonic()
+    outcome = _connect_and_read(
+        endpoint, source, _greeting(endpoint), timeout_ms, settle_ms
+    )
+    if outcome is None:
+        # the peer may have rejected our bytes rather than our address
+        outcome = _connect_and_read(endpoint, source, b"", timeout_ms, settle_ms)
+    if outcome is None:
+        outcome = Outcome.CONNECT_REFUSED  # closed though we sent nothing: policy
+    elapsed = int((time.monotonic() - start) * 1000)
+    if outcome is Outcome.TIMEOUT:
+        elapsed = max(elapsed, timeout_ms)
+    return ReachabilityObservation(
+        endpoint, component_id, source.label, outcome, elapsed
+    )
 
 
 # ---------------------------------------------------------------------------

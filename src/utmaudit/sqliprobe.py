@@ -8,8 +8,7 @@ Two detection routes, both read-only:
   response close to the baseline while the contradictory variant diverges,
   measured with a similarity distance over status, length and word set.
 
-The corpus also holds time-based payloads; the scanner never sends them,
-because they stall the target.
+There is no time-based route: its payloads stall the target by design.
 """
 
 from __future__ import annotations
@@ -45,14 +44,14 @@ class CorpusError(Exception):
 
 @dataclass(frozen=True)
 class Payload:
-    kind: str  # error | bool_true | bool_false | time
+    kind: str  # error | bool_true | bool_false
     text: str
 
     def rendered(self, baseline: str) -> str:
         return self.text.replace("{BASELINE}", baseline)
 
 
-_VALID_KINDS = {"error", "bool_true", "bool_false", "time"}
+_VALID_KINDS = {"error", "bool_true", "bool_false"}
 
 
 def parse_corpus(raw: str) -> list[Payload]:
@@ -83,16 +82,13 @@ def parse_corpus(raw: str) -> list[Payload]:
     return payloads
 
 
-def load_corpus(include_time_based: bool = False) -> list[Payload]:
+def load_corpus() -> list[Payload]:
     raw = (
         importlib.resources.files("utmaudit")
         .joinpath("data/sqli_corpus.txt")
         .read_text(encoding="utf-8")
     )
-    payloads = parse_corpus(raw)
-    if not include_time_based:
-        payloads = [p for p in payloads if p.kind != "time"]
-    return payloads
+    return parse_corpus(raw)
 
 
 # ---------------------------------------------------------------------------

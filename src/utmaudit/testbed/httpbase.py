@@ -5,7 +5,8 @@ Every listener, HTTP or raw, runs one accept loop on a blocking socket.
 the pending accept() at once instead of waiting for a poll to notice.
 
 The allowlist decision runs in the accept thread before any TLS bytes are
-exchanged, so disallowed peers see a bare close. The TLS handshake itself
+exchanged, so disallowed peers see a bare close. Every accepted connection
+gets TCP_NODELAY there too, raw or HTTP. The TLS handshake itself
 runs in the per-connection worker thread, which keeps a stalled handshake
 from blocking the accept loop.
 """
@@ -72,6 +73,10 @@ class Listener:
                 self.shutdown_request(request)
                 continue
             try:
+                # Services write a reply in pieces (headers then body, TLS
+                # session tickets then a banner); Nagle would hold the
+                # later piece back for the peer's delayed ACK.
+                request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self.process_request(request, client_address)
             except Exception:
                 self.handle_error(request, client_address)
@@ -137,9 +142,6 @@ def https_context(
 
 class JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes; on a kept-alive
-    # connection Nagle would hold the body back for the client's delayed ACK.
-    disable_nagle_algorithm = True
     server_version = "testbed"
     sys_version = ""
 

@@ -18,6 +18,7 @@ read; any bytes received mean the listener speaks plaintext.
 from __future__ import annotations
 
 import enum
+import functools
 import socket
 import ssl
 from dataclasses import dataclass
@@ -74,6 +75,30 @@ def _client_context(
     if max_tls12:
         ctx.maximum_version = ssl.TLSVersion.TLSv1_2
     return ctx
+
+
+@dataclass(frozen=True)
+class ClientContexts:
+    """The three client contexts of a posture probe, one per handshake.
+    Built once per sweep: each build reads the CA and key files."""
+
+    identified: ssl.SSLContext
+    anonymous: ssl.SSLContext
+    legacy: ssl.SSLContext
+    presents_certificate: bool
+
+    @staticmethod
+    def build(
+        ca_path: Optional[str] = None,
+        client_cert: Optional[str] = None,
+        client_key: Optional[str] = None,
+    ) -> "ClientContexts":
+        return ClientContexts(
+            identified=_client_context(ca_path, client_cert, client_key, max_tls12=False),
+            anonymous=_client_context(ca_path, None, None, max_tls12=False),
+            legacy=_client_context(ca_path, client_cert, client_key, max_tls12=True),
+            presents_certificate=bool(client_cert and client_key),
+        )
 
 
 def _handshake(
@@ -152,20 +177,15 @@ def _subject_cn(der: Optional[bytes]) -> Optional[str]:
 
 def probe_tls(
     endpoint: Endpoint,
+    contexts: ClientContexts,
     *,
-    ca_path: Optional[str] = None,
-    client_cert: Optional[str] = None,
-    client_key: Optional[str] = None,
     source_address: Optional[str] = None,
     timeout_s: float = 5.0,
 ) -> TlsPosture:
     notes: list[str] = []
     try:
         version, der, banner_with = _handshake(
-            endpoint,
-            _client_context(ca_path, client_cert, client_key, max_tls12=False),
-            source_address,
-            timeout_s,
+            endpoint, contexts.identified, source_address, timeout_s
         )
     except _HandshakeRejected as exc:
         plain = _plaintext_peek(endpoint, source_address, timeout_s)
@@ -185,10 +205,7 @@ def probe_tls(
     # anonymous handshake: must read to surface deferred rejection
     try:
         _, _, banner_without = _handshake(
-            endpoint,
-            _client_context(ca_path, None, None, max_tls12=False),
-            source_address,
-            timeout_s,
+            endpoint, contexts.anonymous, source_address, timeout_s
         )
         anonymous_accepted = True
     except (_HandshakeRejected, OSError):
@@ -198,7 +215,7 @@ def probe_tls(
     if not anonymous_accepted:
         demand = ClientCertDemand.REQUIRED
     elif (
-        client_cert
+        contexts.presents_certificate
         and banner_with is not None
         and banner_without is not None
         and banner_with != banner_without
@@ -210,10 +227,7 @@ def probe_tls(
 
     try:
         legacy_version, _, _ = _handshake(
-            endpoint,
-            _client_context(ca_path, client_cert, client_key, max_tls12=True),
-            source_address,
-            timeout_s,
+            endpoint, contexts.legacy, source_address, timeout_s
         )
         accepts_legacy = True
         notes.append(f"legacy offer negotiated {legacy_version}")
@@ -264,13 +278,17 @@ def check_db_transport(
 ) -> CheckResult:
     client = manifest.oauth_client
     cert, key = (client.certificate, client.key) if client.has_certificate() else (None, None)
+    # Built on first use, inside the attempt, so a CA or key file that
+    # cannot be read gives every endpoint its NotAssessable line. Not cached
+    # past this sweep: the next scan reads the files again.
+    contexts = functools.cache(lambda: ClientContexts.build(manifest.ca_path, cert, key))
     outcomes = []
     for comp in manifest.by_role(ComponentRole.DB_NODE):
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
             outcomes += attempt(label, lambda: [_posture_outcome(comp, label, probe_tls(
-                endpoint, ca_path=manifest.ca_path, client_cert=cert, client_key=key,
-                source_address=manifest.allowlisted_source, timeout_s=timeout_s,
+                endpoint, contexts(), source_address=manifest.allowlisted_source,
+                timeout_s=timeout_s,
             ))])
     return fold("DB-01", outcomes)
 

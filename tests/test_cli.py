@@ -168,38 +168,40 @@ def test_report_rejects_missing_file(capsys):
 
 def test_testbed_up_down_lifecycle(tmp_path, secure_testbed):
     state = tmp_path / "state.json"
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "utmaudit.cli", "testbed", "up", "--state", str(state)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        manifest_path = proc.stdout.readline().strip()
-        assert manifest_path, proc.stderr.read()
-        assert os.path.exists(manifest_path)
-        assert state.exists()
-        # the testbed shares its PKI only within its own process
-        child_ca = parse_manifest_file(manifest_path).ca_path
-        with open(child_ca, "rb") as fh, open(secure_testbed.manifest.ca_path, "rb") as own:
-            assert fh.read() != own.read()
+    ) as proc:
+        try:
+            manifest_path = proc.stdout.readline().strip()
+            assert manifest_path, proc.stderr.read()
+            assert os.path.exists(manifest_path)
+            assert state.exists()
+            # the testbed shares its PKI only within its own process
+            child_ca = parse_manifest_file(manifest_path).ca_path
+            own_ca = secure_testbed.manifest.ca_path
+            with open(child_ca, "rb") as fh, open(own_ca, "rb") as own:
+                assert fh.read() != own.read()
 
-        # the child is not reaped until proc.wait below, so down must not
-        # wait for its pid to vanish
-        started = time.monotonic()
-        rc = subprocess.run(
-            [sys.executable, "-m", "utmaudit.cli", "testbed", "down", "--state", str(state)],
-            capture_output=True,
-            timeout=30,
-        ).returncode
-        assert rc == 0
-        assert time.monotonic() - started < 3
-        assert proc.wait(timeout=10) == 0
-        assert not state.exists()
-    finally:
-        if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
+            # the child is not reaped until proc.wait below, so down must not
+            # wait for its pid to vanish
+            started = time.monotonic()
+            rc = subprocess.run(
+                [sys.executable, "-m", "utmaudit.cli", "testbed", "down",
+                 "--state", str(state)],
+                capture_output=True,
+                timeout=30,
+            ).returncode
+            assert rc == 0
+            assert time.monotonic() - started < 3
+            assert proc.wait(timeout=10) == 0
+            assert not state.exists()
+        finally:
+            if proc.poll() is None:
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=10)
 
 
 def test_testbed_down_without_state(tmp_path, capsys):
@@ -257,18 +259,18 @@ def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
 
 def test_testbed_up_stops_cleanly_on_immediate_sigterm(tmp_path):
     state = tmp_path / "state.json"
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "utmaudit.cli", "testbed", "up", "--state", str(state)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        assert proc.stdout.readline().strip(), proc.stderr.read()
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 0
-        assert not state.exists()
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    ) as proc:
+        try:
+            assert proc.stdout.readline().strip(), proc.stderr.read()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert not state.exists()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()

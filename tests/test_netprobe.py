@@ -6,6 +6,7 @@ import pytest
 
 from utmaudit.manifest import Endpoint, parse_manifest
 from utmaudit.netprobe import (
+    CONFIRM_SETTLE_FACTOR,
     Outcome,
     ReachabilityObservation,
     SourceBinding,
@@ -70,10 +71,31 @@ def _send_banner(conn, received):
 
 def _hold_until_peer_closes(conn, received):
     conn.settimeout(5)
+    chunks = []
     try:
-        received.append(conn.recv(64))
-    except socket.timeout:
-        received.append(b"")
+        while chunk := conn.recv(4096):
+            chunks.append(chunk)
+    except OSError:
+        pass
+    received.append(b"".join(chunks))
+
+
+def _answer_then_hold(conn, received):
+    # a service that speaks only when spoken to
+    conn.settimeout(5)
+    try:
+        received.append(conn.recv(4096))
+        conn.sendall(b"ready\n")
+    except OSError:
+        return
+    _hold_until_peer_closes(conn, [])
+
+
+def _wait_for(received, count, timeout_s=2.0):
+    deadline = time.monotonic() + timeout_s
+    while len(received) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.05)  # long enough for an unexpected extra connection to land
 
 
 def _probe(port, **kw):
@@ -149,14 +171,59 @@ def test_saturated_backlog_times_out_with_elapsed_at_least_timeout():
         server.close()
 
 
-def test_probe_sends_no_bytes():
-    listener = _Listener(_hold_open)
+@pytest.mark.parametrize("scheme", ["tcp", "https"])
+def test_tls_schemes_greet_with_one_client_hello(scheme):
+    listener = _Listener(_hold_until_peer_closes)
     try:
-        _probe(listener.port, settle_ms=600)
-        time.sleep(0.1)
-        assert listener.received == [b""]
+        ep = Endpoint(host="127.0.0.1", port=listener.port, scheme=scheme)
+        obs = probe_reachability(ep, SourceBinding.external(), settle_ms=100)
+        _wait_for(listener.received, 1)
     finally:
         listener.close()
+    assert obs.outcome is Outcome.CONNECT_OK
+    [greeting] = listener.received
+    # one TLS handshake record (0x16) holding a ClientHello (type 0x01)
+    assert greeting[0] == 0x16 and greeting[5] == 0x01
+    assert len(greeting) == 5 + int.from_bytes(greeting[3:5], "big")
+
+
+def test_http_greets_with_head_request():
+    listener = _Listener(_hold_until_peer_closes)
+    try:
+        ep = Endpoint(host="127.0.0.1", port=listener.port, scheme="http")
+        probe_reachability(ep, SourceBinding.external(), settle_ms=100)
+        _wait_for(listener.received, 1)
+    finally:
+        listener.close()
+    assert listener.received == [
+        f"HEAD / HTTP/1.0\r\nHost: 127.0.0.1:{listener.port}\r\n\r\n".encode()
+    ]
+
+
+def test_answer_to_the_greeting_ends_the_probe_well_within_the_settle():
+    listener = _Listener(_answer_then_hold)
+    try:
+        obs = _probe(listener.port, settle_ms=2000)
+    finally:
+        listener.close()
+    assert obs.outcome is Outcome.CONNECT_OK
+    assert obs.elapsed_ms < 500
+
+
+def test_close_after_greeting_is_decided_by_a_silent_probe():
+    # _hold_open reads what arrives within 0.5 s, then closes: the greeting
+    # is read and closed on, so a fresh connection that sends no bytes
+    # decides, and there the close before any data reads as refused
+    listener = _Listener(_hold_open)
+    try:
+        obs = _probe(listener.port, settle_ms=1000)
+        _wait_for(listener.received, 2)
+    finally:
+        listener.close()
+    assert obs.outcome is Outcome.CONNECT_REFUSED
+    assert len(listener.received) == 2
+    assert listener.received[0].startswith(b"\x16")
+    assert listener.received[1] == b""
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +287,21 @@ def test_restricted_endpoint_that_stays_open_is_judged_reachable():
     assert net01.status is CheckStatus.FAIL and net01.component_id == "kms"
     assert len(lines) == 1 and lines[0].endswith(": reachable")
     assert len(listener.received) == 2  # the first probe and its confirmation
+
+
+def test_restricted_endpoint_that_answers_fails_net01_without_the_long_settle():
+    # the confirming probe greets too, so an answer ends it at once
+    listener = _Listener(_answer_then_hold)
+    try:
+        start = time.monotonic()
+        net01, lines = _kms_zones(listener)
+        elapsed = time.monotonic() - start
+    finally:
+        listener.close()
+    assert net01.status is CheckStatus.FAIL and net01.component_id == "kms"
+    assert len(lines) == 1 and lines[0].endswith(": reachable")
+    assert len(listener.received) == 2
+    assert elapsed < CONFIRM_SETTLE_FACTOR * _SETTLE_MS / 1000 / 2
 
 
 # ---------------------------------------------------------------------------

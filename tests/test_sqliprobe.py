@@ -35,12 +35,11 @@ def test_packaged_corpus_loads_and_excludes_time_by_default():
     kinds = {p.kind for p in payloads}
     assert "error" in kinds and "bool_true" in kinds and "bool_false" in kinds
     assert "time" not in kinds
-    assert any(p.kind == "time" for p in load_corpus(include_time_based=True))
 
 
 def test_corpus_payloads_are_read_only():
     forbidden = ("drop ", "delete ", "update ", "insert ", "truncate ", "alter ")
-    for payload in load_corpus(include_time_based=True):
+    for payload in load_corpus():
         lowered = payload.text.lower()
         for verb in forbidden:
             assert verb not in lowered, payload.text

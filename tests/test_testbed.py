@@ -1,6 +1,7 @@
 import contextlib
 import json
 import os
+import pathlib
 import socket
 import threading
 
@@ -12,7 +13,7 @@ from utmaudit.manifest import ComponentRole
 from utmaudit.oauthaudit import estimate_secret_strength
 from utmaudit.testbed import harness, httpbase, tokens
 from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
-from utmaudit.testbed.rawlisteners import make_kms
+from utmaudit.testbed.rawlisteners import RawListener, make_kms
 from utmaudit.testbed.toggles import (
     PROFILES,
     TOGGLES,
@@ -193,7 +194,7 @@ def test_restricted_services_drop_external_sources(secure, close_after):
 
 def test_at_rest_file_has_no_marker_on_secure(secure):
     db = secure.manifest.by_role(ComponentRole.DB_NODE)[0]
-    blob = open(db.storage_path, "rb").read()
+    blob = pathlib.Path(db.storage_path).read_bytes()
     assert b"ISA_RECORD" not in blob
 
 
@@ -237,7 +238,7 @@ def test_plaintext_store_toggle_writes_marker():
     tb = start_testbed(["no-at-rest-encryption"])
     try:
         db = tb.manifest.by_role(ComponentRole.DB_NODE)[0]
-        blob = open(db.storage_path, "rb").read()
+        blob = pathlib.Path(db.storage_path).read_bytes()
         assert b"ISA_RECORD" in blob
         # the manifest still claims strong encryption; only the bytes tell
         assert db.declared_encryption_at_rest == "AES-256"
@@ -368,7 +369,7 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
         assert len(made) == 1
         assert first.workdir != second.workdir
         assert first.port_base != second.port_base
-        ca = [open(tb.manifest.ca_path, "rb").read() for tb in (first, second)]
+        ca = [pathlib.Path(tb.manifest.ca_path).read_bytes() for tb in (first, second)]
         assert ca[0] == ca[1] == made[0].ca_cert_pem
         assert _jwks_kid(first) == _jwks_kid(second) == made[0].jwt_kid
         assert first.client_secret == second.client_secret
@@ -407,6 +408,19 @@ def test_stop_wakes_an_accept_that_blocks(make_listener):
     assert listener.socket.gettimeout() is None
     listener.stop()
     assert not listener._thread.is_alive()
+
+
+def test_raw_listener_connections_have_nodelay():
+    def nodelay_banner(conn):
+        return b"%d\n" % conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    listener = RawListener("127.0.0.1", 0, nodelay_banner, tls_context=None)
+    listener.start()
+    try:
+        with socket.create_connection(listener.server_address, timeout=2) as conn:
+            assert int(conn.recv(64)) != 0
+    finally:
+        listener.stop()
 
 
 def test_port_clash_surfaces_as_oserror_so_start_can_retry():

@@ -1,13 +1,16 @@
+import dataclasses
 import socket
 
 import pytest
 
-from utmaudit.manifest import Endpoint, parse_manifest
+from utmaudit import tlsaudit
+from utmaudit.manifest import ComponentRole, Endpoint, parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.testbed.certs import make_bundle, write_bundle
 from utmaudit.testbed.rawlisteners import make_db_node, make_kms
 from utmaudit.tlsaudit import (
     ClientCertDemand,
+    ClientContexts,
     check_data_at_rest,
     check_db_transport,
     probe_tls,
@@ -36,15 +39,14 @@ def _run_node(pki, **kwargs):
     return node, Endpoint(host="127.0.0.1", port=port, scheme="tcp")
 
 
+def _identified(pki):
+    return ClientContexts.build(pki.ca_cert, pki.client_cert, pki.client_key)
+
+
 def test_strict_node_posture(pki):
     node, ep = _run_node(pki)
     try:
-        posture = probe_tls(
-            ep,
-            ca_path=pki.ca_cert,
-            client_cert=pki.client_cert,
-            client_key=pki.client_key,
-        )
+        posture = probe_tls(ep, _identified(pki))
     finally:
         node.stop()
     assert posture.speaks_tls
@@ -57,7 +59,7 @@ def test_strict_node_posture(pki):
 def test_plaintext_node_detected(pki):
     node, ep = _run_node(pki, plaintext=True)
     try:
-        posture = probe_tls(ep, ca_path=pki.ca_cert)
+        posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
     finally:
         node.stop()
     assert not posture.speaks_tls
@@ -68,12 +70,7 @@ def test_plaintext_node_detected(pki):
 def test_tls12_node_flagged_as_legacy(pki):
     node, ep = _run_node(pki, tls12_only=True)
     try:
-        posture = probe_tls(
-            ep,
-            ca_path=pki.ca_cert,
-            client_cert=pki.client_cert,
-            client_key=pki.client_key,
-        )
+        posture = probe_tls(ep, _identified(pki))
     finally:
         node.stop()
     assert posture.speaks_tls
@@ -86,7 +83,7 @@ def test_anonymous_peer_rejected_post_handshake(pki):
     # the no-certificate probe must fail only at its first read
     node, ep = _run_node(pki)
     try:
-        posture = probe_tls(ep, ca_path=pki.ca_cert)
+        posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
     finally:
         node.stop()
     assert posture.speaks_tls is False
@@ -99,7 +96,9 @@ def test_kms_banner_is_plaintext():
     kms = make_kms("127.0.0.1", port)
     kms.start()
     try:
-        posture = probe_tls(Endpoint(host="127.0.0.1", port=port, scheme="tcp"))
+        posture = probe_tls(
+            Endpoint(host="127.0.0.1", port=port, scheme="tcp"), ClientContexts.build()
+        )
     finally:
         kms.stop()
     assert not posture.speaks_tls
@@ -114,10 +113,7 @@ def test_allowlisted_node_drops_unlisted_peer(pki):
     node.start()
     try:
         posture = probe_tls(
-            Endpoint(host="127.0.0.1", port=port, scheme="tcp"),
-            ca_path=pki.ca_cert,
-            client_cert=pki.client_cert,
-            client_key=pki.client_key,
+            Endpoint(host="127.0.0.1", port=port, scheme="tcp"), _identified(pki)
         )
         assert not posture.speaks_tls
         assert posture.plaintext_banner is None
@@ -180,6 +176,29 @@ def test_db_transport_unreachable_is_not_assessable(pki):
     assert result.status is CheckStatus.NOT_ASSESSABLE
     [line] = result.evidence
     assert line.startswith(f"db tcp://127.0.0.1:{port}: "), line
+
+
+def test_db_transport_builds_its_contexts_once_per_sweep(pki, monkeypatch):
+    built = []
+    real = tlsaudit._client_context
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tlsaudit, "_client_context", counting)
+    manifest = _manifest_for(_free_port(), pki)
+    db = manifest.by_role(ComponentRole.DB_NODE)[0]
+    second = Endpoint(host="127.0.0.1", port=_free_port(), scheme="tcp")
+    two_nodes = dataclasses.replace(db, endpoints=db.endpoints + (second,))
+    manifest = dataclasses.replace(manifest, components=tuple(
+        two_nodes if c is db else c for c in manifest.components
+    ))
+    for _ in range(2):
+        result = check_db_transport(manifest, timeout_s=1.0)
+        assert len(result.evidence) == 2
+    # three contexts per sweep, read afresh by the next sweep
+    assert len(built) == 6
 
 
 def test_data_at_rest_plaintext_marker(tmp_path, pki):
