@@ -17,6 +17,7 @@ from typing import Callable, Optional
 from . import tokens
 from .httpbase import JsonHandler
 from .store import IsaStore, QueryError
+from .toggles import Switches
 
 _WRITE_FIELDS = {"owner", "area", "floor_m", "ceiling_m", "window"}
 
@@ -26,16 +27,14 @@ class GatewayService:
         self,
         store: IsaStore,
         keys: tokens.SigningKeys,
-        policy: tokens.ValidatorPolicy,
-        *,
-        concat_queries: bool = False,
-        persist: Optional[Callable[[], None]] = None,
+        switches: Switches,
+        persist: Callable[[], None],
     ):
         self.store = store
         self.keys = keys
-        self.policy = policy
-        self.concat_queries = concat_queries
-        self.persist = persist or (lambda: None)
+        self.policy = tokens.ValidatorPolicy("gateway", switches)
+        self.switches = switches
+        self.persist = persist
 
     def authorize(self, compact: Optional[str], required_scope: str) -> tokens.Verdict:
         if compact is None:
@@ -59,7 +58,7 @@ class GatewayHandler(JsonHandler):
         if route == "/isa":
             area = self.query().get("area", "")
             try:
-                if service.concat_queries:
+                if service.switches.string_concat_query:
                     rows = service.store.query_concat(area)
                 else:
                     rows = service.store.query_param(area)

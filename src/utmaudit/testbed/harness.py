@@ -31,7 +31,7 @@ from .logrepo import LogRepoHandler, LogRepoService
 from .oauth_server import OAuthConfig, OAuthHandler, OAuthService
 from .rawlisteners import make_db_node, make_kms
 from .store import IsaStore, write_at_rest
-from .toggles import validate_toggles, toggles_for_profile
+from .toggles import Switches, toggles_for_profile
 from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicWebService
 
 HOST = "127.0.0.1"
@@ -83,7 +83,7 @@ def find_free_port_base() -> int:
 
 @dataclass
 class Testbed:
-    toggles: frozenset[str]
+    switches: Switches
     port_base: int
     workdir: str
     manifest_path: str
@@ -233,16 +233,16 @@ def start_testbed(
     profile: Optional[str] = None,
     port_base: Optional[int] = None,
 ) -> Testbed:
-    chosen = set(validate_toggles(toggles))
+    names = set(toggles)
     if profile is not None:
-        chosen |= toggles_for_profile(profile)
-    chosen = frozenset(chosen)
+        names |= toggles_for_profile(profile)
+    switches = Switches.named(names)
 
     last_error: Optional[Exception] = None
     for _ in range(3):
         base = port_base if port_base is not None else find_free_port_base()
         try:
-            return _start_once(chosen, base)
+            return _start_once(switches, base)
         except OSError as exc:
             last_error = exc
             if port_base is not None:
@@ -250,25 +250,25 @@ def start_testbed(
     raise RuntimeError(f"could not start testbed: {last_error}")
 
 
-def _start_once(chosen: frozenset[str], base: int) -> Testbed:
+def _start_once(switches: Switches, base: int) -> Testbed:
     workdir = Path(tempfile.mkdtemp(prefix="utm-testbed-"))
     try:
-        return _build(chosen, base, workdir)
+        return _build(switches, base, workdir)
     except Exception:
         shutil.rmtree(workdir, ignore_errors=True)
         raise
 
 
-def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
+def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     bundle, keys, strong_secret = _process_credentials()
     paths = write_bundle(bundle, str(workdir / "pki"))
-    client_secret = _weak_secret() if "weak-secret" in chosen else strong_secret
+    client_secret = _weak_secret() if switches.weak_secret else strong_secret
 
     # at-rest persistence for the airspace store
-    if "no-at-rest-encryption" in chosen:
+    if switches.no_at_rest_encryption:
         cipher, at_rest_key = "plaintext", None
         declared_encryption = "AES-256"  # the deployment lies; stored bytes tell
-    elif "at-rest-aes128" in chosen:
+    elif switches.at_rest_aes128:
         cipher, at_rest_key = "aes-128-gcm", secrets.token_bytes(16)
         declared_encryption = "AES-128"
     else:
@@ -290,41 +290,18 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
             client_id="auditor-client",
             client_secret=client_secret,
             entitled_scopes=frozenset(ENTITLED_SCOPES),
-            toggles=chosen,
-            audit_fixture=True,
+            switches=switches,
         ),
     )
     oauth_service.write_secret_store(str(workdir / "oauth_clients.txt"))
     declared_lifetime = oauth_service.issuer_policy.lifetime_s
 
-    def validator(audience: str) -> tokens.ValidatorPolicy:
-        return tokens.ValidatorPolicy(
-            expected_audience=audience,
-            accept_none_alg="accept-none-alg" in chosen,
-            accept_alg_confusion="accept-alg-confusion" in chosen,
-            skip_signature_check="skip-signature-check" in chosen,
-            accept_expired="accept-expired" in chosen,
-            check_scope="no-scope-check" not in chosen,
-            check_audience="no-audience-check" not in chosen,
-            hs256_default="weak-alg-hs256-default" in chosen,
-        )
-
-    gateway_service = GatewayService(
-        isa_store,
-        keys,
-        validator("gateway"),
-        concat_queries="string-concat-query" in chosen,
-        persist=persist,
-    )
-    logrepo_service = LogRepoService(keys, validator("logs"), toggles=chosen)
-    admin_service = AdminWebService(
-        insecure_cookie_flags="insecure-cookie-flags" in chosen
-    )
+    gateway_service = GatewayService(isa_store, keys, switches, persist)
+    logrepo_service = LogRepoService(keys, switches)
+    admin_service = AdminWebService(switches)
 
     restricted_allowlist = frozenset({ALLOWLISTED_SOURCE})
-    db_allowlist = (
-        None if "expose-dbnode" in chosen else restricted_allowlist
-    )
+    db_allowlist = None if switches.expose_dbnode else restricted_allowlist
 
     listeners: list[Listener] = []
 
@@ -356,8 +333,8 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
             listeners.append(
                 make_db_node(
                     HOST, base + offset, paths,
-                    plaintext="plaintext-dbnode" in chosen,
-                    tls12_only="tls12-dbnode" in chosen,
+                    plaintext=switches.plaintext_dbnode,
+                    tls12_only=switches.tls12_dbnode,
                     allowlist=db_allowlist,
                 )
             )
@@ -383,7 +360,7 @@ def _build(chosen: frozenset[str], base: int, workdir: Path) -> Testbed:
     manifest = parse_manifest(manifest_text.encode())
 
     return Testbed(
-        toggles=chosen,
+        switches=switches,
         port_base=base,
         workdir=str(workdir),
         manifest_path=str(manifest_path),

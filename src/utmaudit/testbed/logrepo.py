@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from . import tokens
 from .httpbase import JsonHandler
+from .toggles import Switches
 
 _GENESIS = b"\x00" * 32
 _SEED_COUNT = 60
@@ -63,28 +64,19 @@ def _seed_fields(seq: int, coarse: bool) -> dict:
 
 
 class LogRepoService:
-    def __init__(
-        self,
-        keys: tokens.SigningKeys,
-        policy: tokens.ValidatorPolicy,
-        *,
-        toggles: frozenset[str] = frozenset(),
-    ):
+    def __init__(self, keys: tokens.SigningKeys, switches: Switches):
         self.keys = keys
-        self.policy = policy
-        self.allow_overwrite = "allow-log-overwrite" in toggles
-        self.allow_delete = "allow-log-delete" in toggles
-        self.public_read = "public-log-read" in toggles
+        self.policy = tokens.ValidatorPolicy("logs", switches)
+        self.switches = switches
         self._lock = threading.Lock()
         self._records: list[_Record] = []
-        coarse = "coarse-logs" in toggles
         prev = _GENESIS
         for seq in range(1, _SEED_COUNT + 1):
-            fields = _seed_fields(seq, coarse)
+            fields = _seed_fields(seq, switches.coarse_logs)
             link = _link(prev, fields)
             self._records.append(_Record(seq=seq, fields=fields, link=link))
             prev = link
-        if "broken-hash-chain" in toggles:
+        if switches.broken_hash_chain:
             # flip one bit of one stored link; later links stay as computed
             # from the original value, so verification breaks exactly here
             target = self._records[_BREAK_AT_SEQ - 1]
@@ -141,7 +133,7 @@ class LogRepoHandler(JsonHandler):
         if self.route() != "/records":
             self.send_json(404, {"error": "not found"})
             return
-        if not service.public_read:
+        if not service.switches.public_log_read:
             verdict = service.authorize(self.bearer_token(), "logs.read")
             if not verdict.ok:
                 self._deny(verdict)
@@ -189,7 +181,7 @@ class LogRepoHandler(JsonHandler):
         if not verdict.ok:
             self._deny(verdict)
             return
-        if not service.allow_overwrite:
+        if not service.switches.allow_log_overwrite:
             self.send_json(405, {"error": "records are append-only"})
             return
         body = self.read_json()
@@ -212,7 +204,7 @@ class LogRepoHandler(JsonHandler):
         if not verdict.ok:
             self._deny(verdict)
             return
-        if not service.allow_delete:
+        if not service.switches.allow_log_delete:
             self.send_json(405, {"error": "records are append-only"})
             return
         if service.delete(seq):

@@ -20,8 +20,10 @@ from typing import Optional
 
 from . import tokens
 from .httpbase import JsonHandler
+from .toggles import Switches
 
 _PBKDF2_ITERATIONS = 210000
+_DEFAULT_AUDIENCE = "gateway"
 
 
 @functools.cache
@@ -40,9 +42,7 @@ class OAuthConfig:
     client_id: str
     client_secret: str
     entitled_scopes: frozenset[str]
-    toggles: frozenset[str] = frozenset()
-    audit_fixture: bool = True
-    default_audience: str = "gateway"
+    switches: Switches = Switches()
 
 
 @dataclass
@@ -56,12 +56,11 @@ class OAuthService:
     def __init__(self, keys: tokens.SigningKeys, config: OAuthConfig):
         self.keys = keys
         self.config = config
-        algorithm = (
-            "HS256" if "weak-alg-hs256-default" in config.toggles else "RS256"
-        )
+        self.switches = config.switches
+        algorithm = "HS256" if self.switches.weak_alg_hs256_default else "RS256"
         lifetime = (
             tokens.LONG_LIFETIME_S
-            if "long-expiry" in config.toggles
+            if self.switches.long_expiry
             else tokens.DEFAULT_LIFETIME_S
         )
         self.issuer_policy = tokens.IssuerPolicy(
@@ -73,7 +72,7 @@ class OAuthService:
     # -- credential storage -------------------------------------------------
 
     def write_secret_store(self, path: str) -> None:
-        if "plaintext-secret-store" in self.config.toggles:
+        if self.switches.plaintext_secret_store:
             line = f"{self.config.client_id} {self.config.client_secret}\n"
         else:
             line = _pbkdf2_line(self.config.client_id, self.config.client_secret)
@@ -89,7 +88,7 @@ class OAuthService:
 
     def _grant_scopes(self, requested: str) -> str:
         asked = [s for s in requested.split() if s]
-        if "over-scoped-profile" in self.config.toggles:
+        if self.switches.over_scoped_profile:
             granted = list(asked)
             if "admin" not in granted:
                 granted.append("admin")
@@ -97,14 +96,13 @@ class OAuthService:
         return " ".join(s for s in asked if s in self.config.entitled_scopes)
 
     def _issue(self, form: dict[str, str], scope: str) -> dict:
-        audience = form.get("audience") or self.config.default_audience
+        audience = form.get("audience") or _DEFAULT_AUDIENCE
         lifetime: Optional[int] = None
         iat_offset = 0
-        if self.config.audit_fixture:
-            if "x_lifetime_s" in form:
-                lifetime = int(form["x_lifetime_s"])
-            if "x_iat_offset_s" in form:
-                iat_offset = int(form["x_iat_offset_s"])
+        if "x_lifetime_s" in form:
+            lifetime = int(form["x_lifetime_s"])
+        if "x_iat_offset_s" in form:
+            iat_offset = int(form["x_iat_offset_s"])
         compact = tokens.issue(
             self.keys,
             self.issuer_policy,
@@ -125,7 +123,7 @@ class OAuthService:
         }
 
     def handle_token(self, form: dict[str, str], peer_cert_present: bool):
-        if "no-client-cert-binding" not in self.config.toggles:
+        if not self.switches.no_client_cert_binding:
             if not peer_cert_present:
                 return 401, {"error": "invalid_client",
                              "error_description": "client certificate required"}
@@ -140,7 +138,7 @@ class OAuthService:
             return 200, self._issue(form, scope)
 
         if grant_type == "password":
-            if "enable-password-grant" not in self.config.toggles:
+            if not self.switches.enable_password_grant:
                 return 400, {"error": "unsupported_grant_type"}
             if not self._client_secret_ok(form.get("client_secret")):
                 return 401, {"error": "invalid_client"}
@@ -177,7 +175,7 @@ class OAuthService:
             return 400, {"error": "invalid_request",
                          "error_description": "redirect_uri must be https"}
         state = params.get("state")
-        if not state and "missing-csrf-state" not in self.config.toggles:
+        if not state and not self.switches.missing_csrf_state:
             return 400, {"error": "invalid_request",
                          "error_description": "state required"}
         challenge = params.get("code_challenge", "")
@@ -223,14 +221,12 @@ class OAuthHandler(JsonHandler):
                 200,
                 tokens.jwks_document(
                     service.keys,
-                    include_private_fields=(
-                        "jwks-private-fields" in service.config.toggles
-                    ),
+                    include_private_fields=service.switches.jwks_private_fields,
                 ),
             )
             return
         if route == "/private.pem":
-            if "expose-private-key" in service.config.toggles:
+            if service.switches.expose_private_key:
                 self.send_bytes(
                     200, service.keys.private_pem, "application/x-pem-file"
                 )

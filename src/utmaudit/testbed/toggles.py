@@ -10,43 +10,69 @@ tokens, and hiding either observation would misstate the blast radius.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 
-TOGGLES: tuple[str, ...] = (
+
+class UnknownToggleError(ValueError):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class Switches:
+    """The one declaration of the toggles: one field per toggle, named as
+    the toggle with ``_`` for ``-``, and read by attribute wherever a
+    service decides whether its control is on."""
+
     # network
-    "expose-dbnode",
+    expose_dbnode: bool = False
     # database
-    "plaintext-dbnode",
-    "tls12-dbnode",
-    "string-concat-query",
-    "no-at-rest-encryption",
-    "at-rest-aes128",
+    plaintext_dbnode: bool = False
+    tls12_dbnode: bool = False
+    string_concat_query: bool = False
+    no_at_rest_encryption: bool = False
+    at_rest_aes128: bool = False
     # authorization server
-    "no-client-cert-binding",
-    "over-scoped-profile",
-    "weak-secret",
-    "plaintext-secret-store",
-    "enable-password-grant",
-    "missing-csrf-state",
+    no_client_cert_binding: bool = False
+    over_scoped_profile: bool = False
+    weak_secret: bool = False
+    plaintext_secret_store: bool = False
+    enable_password_grant: bool = False
+    missing_csrf_state: bool = False
     # tokens
-    "long-expiry",
-    "accept-expired",
-    "weak-alg-hs256-default",
-    "expose-private-key",
-    "jwks-private-fields",
-    "skip-signature-check",
-    "accept-none-alg",
-    "accept-alg-confusion",
-    "no-scope-check",
-    "no-audience-check",
-    "insecure-cookie-flags",
+    long_expiry: bool = False
+    accept_expired: bool = False
+    weak_alg_hs256_default: bool = False
+    expose_private_key: bool = False
+    jwks_private_fields: bool = False
+    skip_signature_check: bool = False
+    accept_none_alg: bool = False
+    accept_alg_confusion: bool = False
+    no_scope_check: bool = False
+    no_audience_check: bool = False
+    insecure_cookie_flags: bool = False
     # logging
-    "coarse-logs",
-    "allow-log-overwrite",
-    "allow-log-delete",
-    "broken-hash-chain",
-    "public-log-read",
+    coarse_logs: bool = False
+    allow_log_overwrite: bool = False
+    allow_log_delete: bool = False
+    broken_hash_chain: bool = False
+    public_log_read: bool = False
+
+    @classmethod
+    def named(cls, names) -> Switches:
+        """The switches with exactly the named toggles on."""
+        chosen = set(names)
+        unknown = chosen.difference(TOGGLES)
+        if unknown:
+            raise UnknownToggleError(
+                f"unknown toggles: {', '.join(sorted(unknown))}"
+            )
+        return cls(**{name.replace("-", "_"): True for name in chosen})
+
+
+TOGGLES: tuple[str, ...] = tuple(
+    field.name.replace("_", "-") for field in dataclasses.fields(Switches)
 )
 
 PROFILES: dict[str, tuple[str, ...]] = {
@@ -54,20 +80,6 @@ PROFILES: dict[str, tuple[str, ...]] = {
     "paper-poc": ("plaintext-dbnode", "enable-password-grant", "expose-private-key"),
     "all-vulnerable": TOGGLES,
 }
-
-
-class UnknownToggleError(ValueError):
-    pass
-
-
-def validate_toggles(names) -> frozenset[str]:
-    chosen = frozenset(names)
-    unknown = chosen - set(TOGGLES)
-    if unknown:
-        raise UnknownToggleError(
-            f"unknown toggles: {', '.join(sorted(unknown))}"
-        )
-    return chosen
 
 
 def toggles_for_profile(profile: str) -> frozenset[str]:

@@ -23,6 +23,9 @@ from typing import Optional
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
+from .toggles import Switches
+
+ISSUER = "testbed-oauth"
 DEFAULT_LIFETIME_S = 300
 LONG_LIFETIME_S = 30 * 24 * 3600
 CLOCK_SKEW_S = 30
@@ -59,19 +62,12 @@ class SigningKeys:
 class IssuerPolicy:
     algorithm: str = "RS256"  # or HS256 under the weak-algorithm toggle
     lifetime_s: int = DEFAULT_LIFETIME_S
-    issuer: str = "testbed-oauth"
 
 
 @dataclass(frozen=True)
 class ValidatorPolicy:
     expected_audience: str
-    accept_none_alg: bool = False
-    accept_alg_confusion: bool = False
-    skip_signature_check: bool = False
-    accept_expired: bool = False
-    check_scope: bool = True
-    check_audience: bool = True
-    hs256_default: bool = False  # mirrors the issuer's weak-algorithm mode
+    switches: Switches = Switches()
 
 
 @dataclass(frozen=True)
@@ -96,7 +92,7 @@ def issue(
     lifetime = policy.lifetime_s if lifetime_s is None else lifetime_s
     header = {"alg": policy.algorithm, "typ": "JWT", "kid": keys.kid}
     claims = {
-        "iss": policy.issuer,
+        "iss": ISSUER,
         "sub": subject,
         "aud": audience,
         "scope": scope,
@@ -137,6 +133,7 @@ def validate(
     now: Optional[int] = None,
 ) -> Verdict:
     now = int(time.time()) if now is None else now
+    switches = policy.switches
     parts = compact.split(".")
     if len(parts) != 3:
         return Verdict(False, 401, "malformed token")
@@ -154,17 +151,17 @@ def validate(
     signing_input = (header_b64 + "." + claims_b64).encode()
 
     if alg == "none":
-        if not policy.accept_none_alg:
+        if not switches.accept_none_alg:
             return Verdict(False, 401, "algorithm not allowed")
         # accepted without any signature
     elif alg == "HS256":
-        if policy.hs256_default:
+        if switches.weak_alg_hs256_default:
             expected = hmac.new(
                 keys.hs256_secret, signing_input, hashlib.sha256
             ).digest()
             if not hmac.compare_digest(expected, signature):
                 return Verdict(False, 401, "bad signature")
-        elif policy.accept_alg_confusion:
+        elif switches.accept_alg_confusion:
             expected = hmac.new(
                 keys.public_pem, signing_input, hashlib.sha256
             ).digest()
@@ -173,22 +170,22 @@ def validate(
         else:
             return Verdict(False, 401, "algorithm not allowed")
     elif alg == "RS256":
-        if not policy.skip_signature_check:
+        if not switches.skip_signature_check:
             if not _verify_rs256(keys, signing_input, signature):
                 return Verdict(False, 401, "bad signature")
     else:
         return Verdict(False, 401, "algorithm not allowed")
 
-    if not policy.accept_expired:
+    if not switches.accept_expired:
         exp = claims.get("exp")
         if not isinstance(exp, int) or now > exp + CLOCK_SKEW_S:
             return Verdict(False, 401, "token expired")
 
-    if policy.check_audience:
+    if not switches.no_audience_check:
         if claims.get("aud") != policy.expected_audience:
             return Verdict(False, 401, "audience mismatch")
 
-    if policy.check_scope and required_scope is not None:
+    if not switches.no_scope_check and required_scope is not None:
         granted = str(claims.get("scope", "")).split()
         if required_scope not in granted:
             return Verdict(False, 403, "insufficient scope")

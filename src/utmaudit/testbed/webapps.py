@@ -11,6 +11,7 @@ from __future__ import annotations
 import secrets
 
 from .httpbase import JsonHandler
+from .toggles import Switches
 
 _PUBLIC_PAGE = """\
 <!doctype html>
@@ -77,19 +78,19 @@ class PublicWebHandler(JsonHandler):
 
 
 class AdminWebService:
-    def __init__(self, *, insecure_cookie_flags: bool = False):
-        self.insecure_cookie_flags = insecure_cookie_flags
+    def __init__(self, switches: Switches):
+        self.switches = switches
 
     def session_cookie(self) -> str:
         value = secrets.token_hex(16)
-        if self.insecure_cookie_flags:
+        if self.switches.insecure_cookie_flags:
             return f"admin_session={value}; Path=/"
         return (
             f"admin_session={value}; Path=/; Secure; HttpOnly; SameSite=Strict"
         )
 
     def page(self) -> str:
-        if self.insecure_cookie_flags:
+        if self.switches.insecure_cookie_flags:
             return _ADMIN_PAGE_INSECURE
         return _ADMIN_PAGE
 

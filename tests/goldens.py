@@ -39,7 +39,8 @@ class FirstScan:
     ports: tuple[int, ...]
 
 
-def _start(config: str):
+def start_config(config: str):
+    """A fresh testbed for one config."""
     if config == "secure":
         return start_testbed()
     if config == "paper-poc":
@@ -49,7 +50,7 @@ def _start(config: str):
 
 def first_scan(config: str) -> FirstScan:
     """Start a fresh testbed for one config, audit it once and stop it."""
-    tb = _start(config)
+    tb = start_config(config)
     try:
         report = run_audit(tb.manifest)
     finally:

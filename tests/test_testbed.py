@@ -1,7 +1,10 @@
+import ast
 import contextlib
+import dataclasses
 import json
 import os
 import pathlib
+import re
 import socket
 import threading
 
@@ -17,10 +20,10 @@ from utmaudit.testbed.rawlisteners import RawListener, make_kms
 from utmaudit.testbed.toggles import (
     PROFILES,
     TOGGLES,
+    Switches,
     UnknownToggleError,
     load_matrix,
     toggles_for_profile,
-    validate_toggles,
 )
 from utmaudit.wire import HttpClient, WireError
 
@@ -60,9 +63,45 @@ def secure():
     tb.stop()
 
 
-def test_toggle_registry_is_complete():
-    assert len(TOGGLES) == 28
-    assert len(set(TOGGLES)) == 28
+# The golden configs, their file names and the ac3 order follow this order.
+_TOGGLE_ORDER = (
+    "expose-dbnode",
+    "plaintext-dbnode",
+    "tls12-dbnode",
+    "string-concat-query",
+    "no-at-rest-encryption",
+    "at-rest-aes128",
+    "no-client-cert-binding",
+    "over-scoped-profile",
+    "weak-secret",
+    "plaintext-secret-store",
+    "enable-password-grant",
+    "missing-csrf-state",
+    "long-expiry",
+    "accept-expired",
+    "weak-alg-hs256-default",
+    "expose-private-key",
+    "jwks-private-fields",
+    "skip-signature-check",
+    "accept-none-alg",
+    "accept-alg-confusion",
+    "no-scope-check",
+    "no-audience-check",
+    "insecure-cookie-flags",
+    "coarse-logs",
+    "allow-log-overwrite",
+    "allow-log-delete",
+    "broken-hash-chain",
+    "public-log-read",
+)
+
+
+def _fields_on(switches):
+    return [f.name for f in dataclasses.fields(switches) if getattr(switches, f.name)]
+
+
+def test_toggle_registry_is_complete(monkeypatch):
+    assert TOGGLES == _TOGGLE_ORDER
     matrix = load_matrix()
     assert set(matrix) == set(TOGGLES)
     covered = {check for checks in matrix.values() for check in checks}
@@ -70,6 +109,46 @@ def test_toggle_registry_is_complete():
     assert "NET-02" not in covered
     assert "WEB-01" not in covered
     assert len(covered) == 25
+
+    assert _fields_on(Switches()) == []
+    for name in TOGGLES:
+        assert _fields_on(Switches.named([name])) == [name.replace("-", "_")]
+
+    def bind(*args, **kwargs):
+        raise AssertionError("a port was bound for an unknown toggle")
+
+    monkeypatch.setattr(harness, "find_free_port_base", bind)
+    monkeypatch.setattr(harness, "_start_once", bind)
+    with pytest.raises(UnknownToggleError, match="^unknown toggles: no-such-toggle$"):
+        start_testbed(["weak-secret", "no-such-toggle"])
+
+
+def test_no_toggle_name_is_spelt_outside_the_registry():
+    """A service reads its switch by attribute: a toggle name spelt as a
+    string elsewhere in the testbed could drift and silently read as off."""
+    testbed_dir = pathlib.Path(harness.__file__).parent
+    stray = [
+        (path.name, node.lineno, node.value)
+        for path in sorted(testbed_dir.glob("*.py"))
+        if path.name != "toggles.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in TOGGLES
+    ]
+    assert stray == []
+
+
+def test_docs_name_only_known_toggles():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    named = {
+        name
+        for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        for group in re.findall(
+            r"--toggle[ =]([a-z0-9,-]+)", path.read_text(encoding="utf-8")
+        )
+        for name in group.split(",")
+    }
+    assert named
+    assert named <= set(TOGGLES), sorted(named - set(TOGGLES))
 
 
 def test_profiles():
@@ -83,7 +162,7 @@ def test_profiles():
 
 def test_unknown_toggle_rejected_before_start():
     with pytest.raises(UnknownToggleError):
-        validate_toggles({"no-such-toggle"})
+        Switches.named({"no-such-toggle"})
     with pytest.raises(UnknownToggleError):
         start_testbed(["definitely-not-real"])
 
@@ -429,4 +508,4 @@ def test_port_clash_surfaces_as_oserror_so_start_can_retry():
         blocker.bind(("127.0.0.1", base + 7))
         blocker.listen(1)
         with pytest.raises(OSError):
-            harness._start_once(frozenset(), base)
+            harness._start_once(Switches(), base)
