@@ -19,7 +19,7 @@ from .results import (
     CheckResult, CheckStatus, Outcome, attempt, fold, judged, note, run_checks,
     unassessable, uniform,
 )
-from .wire import HttpClient, SourceUnavailable, WireError
+from .wire import HttpClient, WireError
 
 GENESIS = b"\x00" * 32
 
@@ -187,7 +187,7 @@ def _check_granularity(
 
 
 def _check_chain(
-    repo, chain: Optional[LogChain], mint, http: HttpClient, source: str
+    repo, chain: Optional[LogChain], mint, http: HttpClient, source: Optional[str]
 ) -> CheckResult:
     if chain is None:
         return _unreadable_listing("LOG-03", repo)
@@ -224,7 +224,7 @@ def _check_chain(
     return fold("LOG-03", outcomes)
 
 
-def _check_worm(repo, mint, http: HttpClient, source: str) -> CheckResult:
+def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckResult:
     if not repo.write:
         return fold("LOG-02", [unassessable(
             f"{repo.id}: no write action declared for probing")])
@@ -269,7 +269,7 @@ def _check_worm(repo, mint, http: HttpClient, source: str) -> CheckResult:
 
 
 def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
-                  source: str) -> CheckResult:
+                  source: Optional[str]) -> CheckResult:
     # A read refused at transport level is refused access, so it passes.
     outcomes = []
     try:
@@ -284,10 +284,11 @@ def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
         outcomes.append(judged(
             False, f"unauthenticated read refused at transport level: {exc}"))
 
-    unassessed = note("external-vantage separation not assessable from this host")
-    if source == "allowlisted":
+    if source is None:
+        outcomes.append(note("external-vantage separation not assessable from this host"))
+    else:
         try:
-            resp = http.request("GET", read_url, headers=auth, source="external")
+            resp = http.request("GET", read_url, headers=auth)
             if resp.status == 200:
                 outcomes.append(judged(
                     True, "records readable from the external network vantage: HTTP 200",
@@ -295,10 +296,6 @@ def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
             else:
                 outcomes.append(judged(
                     False, f"external-vantage read rejected: HTTP {resp.status}"))
-        except SourceUnavailable:
-            outcomes.append(unassessed)
         except WireError:
             outcomes.append(judged(False, "external-vantage read refused at transport level"))
-    else:
-        outcomes.append(unassessed)
     return fold("LOG-04", outcomes)

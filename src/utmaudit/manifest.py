@@ -218,12 +218,12 @@ class TargetManifest:
         return tuple(g for g in self.oauth_client.grant_types if g != "client_credentials")
 
 
-def vantage(comp: ComponentSpec, allowlisted_source: Optional[str]) -> str:
-    """The vantage a probe of ``comp`` is sent from: a restricted component
-    from the allowlisted source when one is bound, anything else from the
-    scanner's plain ("external") vantage."""
-    restricted = expected_zone(comp.role) is Zone.RESTRICTED
-    return "allowlisted" if restricted and allowlisted_source else "external"
+def vantage(comp: ComponentSpec, allowlisted_source: Optional[str]) -> Optional[str]:
+    """The source address a probe of ``comp`` binds: the allowlisted source
+    for a restricted component, and None, the host's default source address
+    (the scanner's external vantage), for anything else or when no
+    allowlisted source is declared."""
+    return allowlisted_source if expected_zone(comp.role) is Zone.RESTRICTED else None
 
 
 # ---------------------------------------------------------------------------

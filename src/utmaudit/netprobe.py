@@ -1,10 +1,11 @@
 """Transport-level reachability probing and the two visibility-zone checks.
 
-A probe opens one TCP connection and at once sends the greeting of the
-endpoint's scheme: one TLS ClientHello record for ``https`` and ``tcp``
-(no certificate, no SNI), ``HEAD / HTTP/1.0`` for ``http``. The greeting
-only makes a listening service answer early; it never decides an outcome
-on its own. Decision table:
+A probe opens one TCP connection with `wire.dial`, from the vantage that
+`manifest.vantage` picks (an allowlisted source address, or None for the
+external vantage), and at once sends the greeting of the endpoint's scheme:
+one TLS ClientHello record for ``https`` and ``tcp`` (no certificate, no
+SNI), ``HEAD / HTTP/1.0`` for ``http``. The greeting only makes a listening
+service answer early; it never decides an outcome on its own. Decision table:
 
 - refused at connect, or an active network-layer rejection: ConnectRefused;
 - no connection within the timeout: Timeout;
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import enum
-import errno
 import functools
 import socket
 import ssl
@@ -40,6 +40,7 @@ from typing import Optional
 
 from .manifest import Endpoint, TargetManifest, Zone, expected_zone, vantage
 from .results import CheckResult, fold, judged, note
+from .wire import SourceUnavailable, client_context, dial
 
 DEFAULT_TIMEOUT_MS = 2000
 DEFAULT_SETTLE_MS = 200
@@ -49,28 +50,10 @@ DEFAULT_SETTLE_MS = 200
 CONFIRM_SETTLE_FACTOR = 5
 
 
-class ProbeSourceError(Exception):
-    """The local source address could not be bound; not a remote verdict."""
-
-
 class Outcome(enum.Enum):
     CONNECT_OK = "ConnectOk"
     CONNECT_REFUSED = "ConnectRefused"
     TIMEOUT = "Timeout"
-
-
-@dataclass(frozen=True)
-class SourceBinding:
-    label: str
-    address: Optional[str] = None  # None binds the host default
-
-    @staticmethod
-    def external() -> "SourceBinding":
-        return SourceBinding(label="external")
-
-    @staticmethod
-    def allowlisted(address: str) -> "SourceBinding":
-        return SourceBinding(label=f"allowlisted:{address}", address=address)
 
 
 @dataclass(frozen=True)
@@ -88,11 +71,8 @@ _HELLO_LOCK = threading.Lock()
 @functools.cache
 def _client_hello() -> bytes:
     """One TLS ClientHello record, without certificate or SNI."""
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-    ctx.check_hostname = False
-    ctx.verify_mode = ssl.CERT_NONE
     outgoing = ssl.MemoryBIO()
-    tls = ctx.wrap_bio(ssl.MemoryBIO(), outgoing)
+    tls = client_context(None).wrap_bio(ssl.MemoryBIO(), outgoing)
     try:
         tls.do_handshake()
     except ssl.SSLWantReadError:
@@ -111,7 +91,7 @@ def _greeting(endpoint: Endpoint) -> bytes:
 
 def _connect_and_read(
     endpoint: Endpoint,
-    source: SourceBinding,
+    source: Optional[str],
     greeting: bytes,
     timeout_ms: int,
     settle_ms: int,
@@ -119,23 +99,12 @@ def _connect_and_read(
     """Connect, send ``greeting`` and wait up to the settle window for a
     first byte. None means the peer closed or reset the connection before
     sending any data."""
-    source_address = (source.address, 0) if source.address else None
     try:
-        sock = socket.create_connection(
-            (endpoint.host, endpoint.port),
-            timeout=timeout_ms / 1000.0,
-            source_address=source_address,
-        )
-    except ConnectionRefusedError:
-        return Outcome.CONNECT_REFUSED
+        sock = dial(endpoint.host, endpoint.port, source, timeout_ms / 1000.0)
     except (socket.timeout, TimeoutError):
         return Outcome.TIMEOUT
-    except OSError as exc:
-        if source.address and exc.errno in (errno.EADDRNOTAVAIL, errno.EINVAL):
-            raise ProbeSourceError(
-                f"cannot bind source address {source.address}: {exc}"
-            ) from exc
-        # active network-layer rejection (host/net unreachable, reset)
+    except OSError:
+        # refused, or an active network-layer rejection (unreachable, reset)
         return Outcome.CONNECT_REFUSED
 
     with sock:
@@ -152,7 +121,7 @@ def _connect_and_read(
 
 def probe_reachability(
     endpoint: Endpoint,
-    source: SourceBinding,
+    source: Optional[str],
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
     settle_ms: int = DEFAULT_SETTLE_MS,
     component_id: str = "",
@@ -169,9 +138,8 @@ def probe_reachability(
     elapsed = int((time.monotonic() - start) * 1000)
     if outcome is Outcome.TIMEOUT:
         elapsed = max(elapsed, timeout_ms)
-    return ReachabilityObservation(
-        endpoint, component_id, source.label, outcome, elapsed
-    )
+    label = "external" if source is None else f"allowlisted:{source}"
+    return ReachabilityObservation(endpoint, component_id, label, outcome, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +163,15 @@ def collect_observations(
     observation replaces the first. Returns the observations plus whether
     the allowlisted vantage was usable."""
     jobs = []
-    source = manifest.allowlisted_source
     for comp in manifest.components:
+        allowlisted = vantage(comp, manifest.allowlisted_source)
         for endpoint in comp.endpoints:
-            jobs.append((comp.id, endpoint, SourceBinding.external()))
-            if vantage(comp, source) == "allowlisted":
-                jobs.append((comp.id, endpoint, SourceBinding.allowlisted(source)))
+            jobs.append((comp.id, endpoint, None))
+            if allowlisted is not None:
+                jobs.append((comp.id, endpoint, allowlisted))
 
     restricted = _ids_in_zone(manifest, Zone.RESTRICTED)
-    allowlist_usable = source is not None
+    allowlist_usable = manifest.allowlisted_source is not None
     observations: list[Optional[ReachabilityObservation]] = [None] * len(jobs)
 
     def run(index: int, settle: int) -> None:
@@ -213,7 +181,7 @@ def collect_observations(
             observations[index] = probe_reachability(
                 endpoint, source, timeout_ms, settle, component_id=comp_id
             )
-        except ProbeSourceError:
+        except SourceUnavailable:
             allowlist_usable = False
 
     def run_all(indices: list[int], settle: int) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import socket
 import ssl
+import sys
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -84,6 +85,12 @@ class Listener:
             except BaseException:
                 self.shutdown_request(request)
                 raise
+
+    def handle_error(self, request, client_address) -> None:
+        """A peer that reset or dropped its connection simply left, so it
+        prints nothing; any other error keeps socketserver's traceback."""
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def wake(self) -> None:
         """Fail the pending accept() now; Linux answers it with EINVAL."""

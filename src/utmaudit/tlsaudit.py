@@ -12,7 +12,9 @@ A posture probe performs up to three handshakes against one endpoint:
    it negotiates with modern clients.
 
 If the first handshake fails outright the probe falls back to a plain TCP
-read; any bytes received mean the listener speaks plaintext.
+read; any bytes received mean the listener speaks plaintext. Connections
+come from `wire.dial` and contexts from `wire.client_context`. A connect that
+fails, on any of the three, ends the probe: it is no rejected handshake.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from typing import Optional
 from cryptography import x509
 from cryptography.x509.oid import NameOID
 
-from .manifest import ComponentRole, Endpoint, TargetManifest
+from .manifest import ComponentRole, Endpoint, TargetManifest, vantage
 from .results import CheckResult, Outcome, attempt, fold, judged, unassessable
+from .wire import client_context, dial
 
 REQUIRED_TLS_VERSION = "TLSv1.3"
 AT_REST_MARKERS = (b"ISA_RECORD",)
@@ -58,25 +61,6 @@ class _HandshakeRejected(Exception):
     pass
 
 
-def _client_context(
-    ca_path: Optional[str],
-    client_cert: Optional[str],
-    client_key: Optional[str],
-    max_tls12: bool,
-) -> ssl.SSLContext:
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-    ctx.check_hostname = False
-    if ca_path:
-        ctx.load_verify_locations(cafile=ca_path)
-    else:
-        ctx.verify_mode = ssl.CERT_NONE
-    if client_cert and client_key:
-        ctx.load_cert_chain(certfile=client_cert, keyfile=client_key)
-    if max_tls12:
-        ctx.maximum_version = ssl.TLSVersion.TLSv1_2
-    return ctx
-
-
 @dataclass(frozen=True)
 class ClientContexts:
     """The three client contexts of a posture probe, one per handshake.
@@ -94,9 +78,9 @@ class ClientContexts:
         client_key: Optional[str] = None,
     ) -> "ClientContexts":
         return ClientContexts(
-            identified=_client_context(ca_path, client_cert, client_key, max_tls12=False),
-            anonymous=_client_context(ca_path, None, None, max_tls12=False),
-            legacy=_client_context(ca_path, client_cert, client_key, max_tls12=True),
+            identified=client_context(ca_path, client_cert, client_key),
+            anonymous=client_context(ca_path),
+            legacy=client_context(ca_path, client_cert, client_key, tls12_max=True),
             presents_certificate=bool(client_cert and client_key),
         )
 
@@ -104,16 +88,13 @@ class ClientContexts:
 def _handshake(
     endpoint: Endpoint,
     ctx: ssl.SSLContext,
-    source_address: Optional[str],
+    source: Optional[str],
     timeout_s: float,
 ) -> tuple[str, Optional[bytes], Optional[bytes]]:
     """Returns (version, peer_cert_der, banner). Raises
     _HandshakeRejected when the server refuses the offered parameters,
     including post-handshake rejection surfaced on first read."""
-    src = (source_address, 0) if source_address else None
-    sock = socket.create_connection(
-        (endpoint.host, endpoint.port), timeout=timeout_s, source_address=src
-    )
+    sock = dial(endpoint.host, endpoint.port, source, timeout_s)
     try:
         try:
             tls = ctx.wrap_socket(sock, server_hostname=None)
@@ -143,14 +124,11 @@ def _handshake(
 
 def _plaintext_peek(
     endpoint: Endpoint,
-    source_address: Optional[str],
+    source: Optional[str],
     timeout_s: float,
 ) -> Optional[bytes]:
-    src = (source_address, 0) if source_address else None
     try:
-        sock = socket.create_connection(
-            (endpoint.host, endpoint.port), timeout=timeout_s, source_address=src
-        )
+        sock = dial(endpoint.host, endpoint.port, source, timeout_s)
     except OSError:
         return None
     try:
@@ -179,16 +157,16 @@ def probe_tls(
     endpoint: Endpoint,
     contexts: ClientContexts,
     *,
-    source_address: Optional[str] = None,
+    source: Optional[str] = None,
     timeout_s: float = 5.0,
 ) -> TlsPosture:
     notes: list[str] = []
     try:
         version, der, banner_with = _handshake(
-            endpoint, contexts.identified, source_address, timeout_s
+            endpoint, contexts.identified, source, timeout_s
         )
     except _HandshakeRejected as exc:
-        plain = _plaintext_peek(endpoint, source_address, timeout_s)
+        plain = _plaintext_peek(endpoint, source, timeout_s)
         if plain is not None:
             return TlsPosture(
                 endpoint=endpoint,
@@ -205,10 +183,10 @@ def probe_tls(
     # anonymous handshake: must read to surface deferred rejection
     try:
         _, _, banner_without = _handshake(
-            endpoint, contexts.anonymous, source_address, timeout_s
+            endpoint, contexts.anonymous, source, timeout_s
         )
         anonymous_accepted = True
-    except (_HandshakeRejected, OSError):
+    except _HandshakeRejected:
         anonymous_accepted = False
         banner_without = None
 
@@ -227,11 +205,11 @@ def probe_tls(
 
     try:
         legacy_version, _, _ = _handshake(
-            endpoint, contexts.legacy, source_address, timeout_s
+            endpoint, contexts.legacy, source, timeout_s
         )
         accepts_legacy = True
         notes.append(f"legacy offer negotiated {legacy_version}")
-    except (_HandshakeRejected, OSError):
+    except _HandshakeRejected:
         accepts_legacy = False
 
     return TlsPosture(
@@ -287,8 +265,8 @@ def check_db_transport(
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
             outcomes += attempt(label, lambda: [_posture_outcome(comp, label, probe_tls(
-                endpoint, contexts(), source_address=manifest.allowlisted_source,
-                timeout_s=timeout_s,
+                endpoint, contexts(), timeout_s=timeout_s,
+                source=vantage(comp, manifest.allowlisted_source),
             ))])
     return fold("DB-01", outcomes)
 

@@ -1,13 +1,16 @@
-"""HTTP/TLS transport for probes.
+"""The one dialer of every probe, and HTTP/TLS transport for probes.
 
-Per request the caller controls two things ordinary HTTP clients hide:
+`dial` opens every TCP connection and `client_context` builds every TLS client
+context that `HttpClient`, `netprobe` and `tlsaudit` use. A vantage is the
+source address that `manifest.vantage` picks: an allowlisted address, or None
+for the host's default (the scanner's external vantage).
 
-- source address binding, to present either the scanner's plain ("external")
-  vantage or a declared allowlisted vantage;
-- whether the configured client certificate is offered during the handshake.
+Per request the caller of `HttpClient` controls two things ordinary HTTP
+clients hide: the vantage, and whether the configured client certificate is
+offered during the handshake.
 
-Connections are kept alive and pooled per (scheme, host, port, source
-vantage, client certificate offered), so a probe never rides a connection
+Connections are kept alive and pooled per (scheme, host, port, vantage,
+client certificate offered), so a probe never rides a connection
 opened from another vantage or under another TLS identity. A request takes an
 idle connection of its key or opens one, reads the whole response, and hands
 the connection back unless the server said it will close it. Any failure
@@ -32,6 +35,7 @@ Redirects are never followed; probes inspect Location headers themselves.
 
 from __future__ import annotations
 
+import errno
 import functools
 import http.client
 import io
@@ -59,7 +63,50 @@ class WireError(Exception):
 
 
 class SourceUnavailable(WireError):
-    """The requested source vantage cannot be bound on this host."""
+    """The source address of a vantage cannot be bound on this host."""
+
+
+def dial(
+    host: str, port: int, source: Optional[str], timeout_s: float
+) -> socket.socket:
+    """One TCP connection to ``host:port`` from the source address
+    ``source``, or from the host's default source address for None. A source
+    the host cannot bind raises SourceUnavailable; any other failure raises
+    its OSError."""
+    try:
+        return socket.create_connection(
+            (host, port), timeout=timeout_s,
+            source_address=(source, 0) if source else None,
+        )
+    except OSError as exc:
+        if source and exc.errno in (errno.EADDRNOTAVAIL, errno.EINVAL):
+            raise SourceUnavailable(
+                f"cannot bind source address {source}: {exc}"
+            ) from exc
+        raise
+
+
+def client_context(
+    ca_path: Optional[str],
+    cert: Optional[str] = None,
+    key: Optional[str] = None,
+    *,
+    tls12_max: bool = False,
+) -> ssl.SSLContext:
+    """A TLS client context that verifies the server certificate against
+    ``ca_path`` whenever one is given, presents ``cert`` and ``key`` when
+    both are given, and with ``tls12_max`` offers TLS 1.2 at most."""
+    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    ctx.check_hostname = False  # targets are addressed by IP
+    if ca_path:
+        ctx.load_verify_locations(cafile=ca_path)
+    else:
+        ctx.verify_mode = ssl.CERT_NONE
+    if cert and key:
+        ctx.load_cert_chain(cert, key)
+    if tls12_max:
+        ctx.maximum_version = ssl.TLSVersion.TLSv1_2
+    return ctx
 
 
 @dataclass
@@ -124,47 +171,31 @@ class HttpClient:
     # -- TLS contexts and connections --------------------------------------
 
     def _context(self, with_cert: bool) -> ssl.SSLContext:
-        """The server certificate is verified whenever a CA is configured.
-        Callers hold the lock, so each context is built once."""
+        """Callers hold the lock, so each context is built once."""
         if with_cert not in self._contexts:
-            if self.ca_path is not None:
-                ctx = ssl.create_default_context(cafile=self.ca_path)
-                ctx.check_hostname = False  # targets are addressed by IP
-            else:
-                ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
-                ctx.check_hostname = False
-                ctx.verify_mode = ssl.CERT_NONE
-            if with_cert:
-                if not (self.client_cert and self.client_key):
-                    raise WireError("client certificate requested but not configured")
-                ctx.load_cert_chain(self.client_cert, self.client_key)
-            self._contexts[with_cert] = ctx
+            if with_cert and not (self.client_cert and self.client_key):
+                raise WireError("client certificate requested but not configured")
+            identity = (self.client_cert, self.client_key) if with_cert else ()
+            self._contexts[with_cert] = client_context(self.ca_path, *identity)
         return self._contexts[with_cert]
 
-    def _source_address(self, source: str) -> Optional[tuple[str, int]]:
-        if source == "external":
-            return None  # the host's default source address
-        if source == "allowlisted":
-            if not self.allowlisted_source:
-                raise SourceUnavailable("no allowlisted source address configured")
-            return (self.allowlisted_source, 0)
-        raise ValueError(f"unknown source vantage {source!r}")
-
     def _connect(
-        self, scheme: str, host: str, port: int, source: str, with_cert: bool
+        self, scheme: str, host: str, port: int, source: Optional[str],
+        with_cert: bool,
     ) -> http.client.HTTPConnection:
         """A new connection for the pool key; it connects on its first request."""
-        source_address = self._source_address(source)
         if scheme == "http":
-            return http.client.HTTPConnection(
-                host, port, timeout=self.timeout_s, source_address=source_address
+            conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        else:
+            with self._lock:
+                context = self._context(with_cert)
+            conn = http.client.HTTPSConnection(
+                host, port, timeout=self.timeout_s, context=context
             )
-        with self._lock:
-            context = self._context(with_cert)
-        return http.client.HTTPSConnection(
-            host, port, timeout=self.timeout_s, source_address=source_address,
-            context=context,
+        conn._create_connection = (
+            lambda address, timeout, _: dial(*address, source, timeout)
         )
+        return conn
 
     def _checkout(self, key: tuple) -> Optional[http.client.HTTPConnection]:
         with self._lock:
@@ -186,7 +217,7 @@ class HttpClient:
         body: Optional[bytes] = None,
         form: Optional[dict] = None,
         headers: Optional[dict] = None,
-        source: str = "external",
+        source: Optional[str] = None,
         present_client_cert: bool = False,
         max_retries: int = 0,
     ) -> HttpResponse:
@@ -228,7 +259,7 @@ class HttpClient:
         path: str,
         body: Optional[bytes],
         headers: dict,
-        source: str,
+        source: Optional[str],
         present_client_cert: bool,
     ) -> HttpResponse:
         key = (scheme, host, port, source, present_client_cert)

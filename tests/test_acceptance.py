@@ -213,9 +213,8 @@ def test_ac7_secure_deployment_rejects_every_forgery(secure_testbed, close_after
     ]
 
     for comp in services:
-        source = (
-            "allowlisted" if expected_zone(comp.role) is Zone.RESTRICTED else "external"
-        )
+        restricted = expected_zone(comp.role) is Zone.RESTRICTED
+        source = manifest.allowlisted_source if restricted else None
         url = comp.primary_endpoint().url(comp.read.path)
         unauthenticated = http.request(comp.read.method, url, source=source)
         assert unauthenticated.status in (401, 403), comp.id

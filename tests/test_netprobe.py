@@ -9,7 +9,6 @@ from utmaudit.netprobe import (
     CONFIRM_SETTLE_FACTOR,
     Outcome,
     ReachabilityObservation,
-    SourceBinding,
     check_zones,
     classify_observations,
     probe_reachability,
@@ -100,7 +99,7 @@ def _wait_for(received, count, timeout_s=2.0):
 
 def _probe(port, **kw):
     ep = Endpoint(host="127.0.0.1", port=port, scheme="tcp")
-    return probe_reachability(ep, SourceBinding.external(), **kw)
+    return probe_reachability(ep, None, **kw)
 
 
 def test_open_listener_is_connect_ok():
@@ -162,7 +161,7 @@ def test_saturated_backlog_times_out_with_elapsed_at_least_timeout():
                 filler.close()
                 break
         ep = Endpoint(host="127.0.0.1", port=port, scheme="tcp")
-        obs = probe_reachability(ep, SourceBinding.external(), timeout_ms=300)
+        obs = probe_reachability(ep, None, timeout_ms=300)
         assert obs.outcome is Outcome.TIMEOUT
         assert obs.elapsed_ms >= 300
     finally:
@@ -176,7 +175,7 @@ def test_tls_schemes_greet_with_one_client_hello(scheme):
     listener = _Listener(_hold_until_peer_closes)
     try:
         ep = Endpoint(host="127.0.0.1", port=listener.port, scheme=scheme)
-        obs = probe_reachability(ep, SourceBinding.external(), settle_ms=100)
+        obs = probe_reachability(ep, None, settle_ms=100)
         _wait_for(listener.received, 1)
     finally:
         listener.close()
@@ -191,7 +190,7 @@ def test_http_greets_with_head_request():
     listener = _Listener(_hold_until_peer_closes)
     try:
         ep = Endpoint(host="127.0.0.1", port=listener.port, scheme="http")
-        probe_reachability(ep, SourceBinding.external(), settle_ms=100)
+        probe_reachability(ep, None, settle_ms=100)
         _wait_for(listener.received, 1)
     finally:
         listener.close()

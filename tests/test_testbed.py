@@ -266,9 +266,7 @@ def test_restricted_services_drop_external_sources(secure, close_after):
     http = close_after(_client(secure))
     for offset in (3, 4):
         with pytest.raises(WireError):
-            http.request(
-                "GET", f"https://127.0.0.1:{secure.port(offset)}/", source="external"
-            )
+            http.request("GET", f"https://127.0.0.1:{secure.port(offset)}/")
 
 
 def test_at_rest_file_has_no_marker_on_secure(secure):
@@ -337,7 +335,7 @@ def test_worm_probes_on_secure(secure, close_after):
     appended = http.request(
         "POST", base + "/records",
         body=json.dumps({"fields": fields}).encode(),
-        headers=auth, source="allowlisted",
+        headers=auth, source="127.0.0.2",
     )
     assert appended.status == 201
     seq = appended.json()["seq"]
@@ -345,18 +343,18 @@ def test_worm_probes_on_secure(secure, close_after):
     forged = http.request(
         "POST", base + "/records",
         body=json.dumps({"fields": fields, "link": "00" * 32}).encode(),
-        headers=auth, source="allowlisted",
+        headers=auth, source="127.0.0.2",
     )
     assert forged.status == 400
 
     overwrite = http.request(
         "PUT", f"{base}/records/{seq}",
         body=json.dumps({"fields": fields}).encode(),
-        headers=auth, source="allowlisted",
+        headers=auth, source="127.0.0.2",
     )
     assert overwrite.status == 405
     erase = http.request(
-        "DELETE", f"{base}/records/{seq}", headers=auth, source="allowlisted"
+        "DELETE", f"{base}/records/{seq}", headers=auth, source="127.0.0.2"
     )
     assert erase.status == 405
 
@@ -509,3 +507,20 @@ def test_port_clash_surfaces_as_oserror_so_start_can_retry():
         blocker.listen(1)
         with pytest.raises(OSError):
             harness._start_once(Switches(), base)
+
+
+def test_a_peer_that_left_prints_no_traceback(capsys):
+    server = httpbase.TestbedHttpServer(("127.0.0.1", 0), httpbase.JsonHandler, None)
+    try:
+        try:
+            raise ConnectionResetError(104, "Connection reset by peer")
+        except ConnectionResetError:
+            server.handle_error(None, ("127.0.0.1", 1))
+        assert capsys.readouterr().err == ""
+        try:
+            raise ValueError("a fault of the service")
+        except ValueError:
+            server.handle_error(None, ("127.0.0.1", 1))
+        assert "ValueError: a fault of the service" in capsys.readouterr().err
+    finally:
+        server.server_close()

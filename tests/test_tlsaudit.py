@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
 import socket
+import ssl
+import threading
 
 import pytest
 
@@ -178,15 +181,43 @@ def test_db_transport_unreachable_is_not_assessable(pki):
     assert line.startswith(f"db tcp://127.0.0.1:{port}: "), line
 
 
+def test_a_connect_refused_after_the_first_handshake_is_not_a_pass(pki):
+    """A TLS 1.3 listener that asks for no client certificate, accepts one
+    connection and then closes its port: the anonymous and TLS 1.2
+    handshakes are refused at connect, which says nothing about the
+    certificates or versions the server would accept."""
+    server_ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_ctx.load_cert_chain(pki.server_cert, pki.server_key)
+    server_ctx.minimum_version = ssl.TLSVersion.TLSv1_3
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve_once():
+        with listener:
+            conn, _ = listener.accept()
+        with contextlib.suppress(OSError):
+            with server_ctx.wrap_socket(conn, server_side=True) as tls:
+                tls.sendall(b"ready\n")
+                tls.recv(1)  # until the probe closes
+
+    server = threading.Thread(target=serve_once, daemon=True)
+    server.start()
+    result = check_db_transport(_manifest_for(port, pki), timeout_s=2.0)
+    server.join(timeout=5)
+    assert result.status is CheckStatus.NOT_ASSESSABLE
+    [line] = result.evidence
+    assert line.startswith(f"db tcp://127.0.0.1:{port}: "), line
+
+
 def test_db_transport_builds_its_contexts_once_per_sweep(pki, monkeypatch):
     built = []
-    real = tlsaudit._client_context
+    real = tlsaudit.client_context
 
     def counting(*args, **kwargs):
         built.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tlsaudit, "_client_context", counting)
+    monkeypatch.setattr(tlsaudit, "client_context", counting)
     manifest = _manifest_for(_free_port(), pki)
     db = manifest.by_role(ComponentRole.DB_NODE)[0]
     second = Endpoint(host="127.0.0.1", port=_free_port(), scheme="tcp")

@@ -1,10 +1,12 @@
 """The probe transport: pooled connections, the stale retry, the request
 deadline and the body cap, against stub servers and the secure testbed."""
 
+import ast
+import dataclasses
 import gc
 import http.client
+import pathlib
 import socket
-import ssl
 import struct
 import sys
 import threading
@@ -15,6 +17,7 @@ import pytest
 
 from utmaudit import wire
 from utmaudit.engine import run_audit
+from utmaudit.results import CheckStatus
 from utmaudit.testbed import httpbase
 from utmaudit.wire import HttpClient, WireError
 
@@ -168,8 +171,8 @@ def test_connections_are_never_shared_across_identity_or_vantage(
         plain = ask()
         with_cert = ask(present_client_cert=True)
         plain_again = ask()
-        allowlisted = ask(source="allowlisted")
-        allowlisted_cert = ask(source="allowlisted", present_client_cert=True)
+        allowlisted = ask(source="127.0.0.2")
+        allowlisted_cert = ask(source="127.0.0.2", present_client_cert=True)
     finally:
         http.close()
     assert plain[:2] == ("127.0.0.1", False)
@@ -189,14 +192,14 @@ def test_concurrent_requests_build_each_tls_context_once(
         _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
     )
     builds = []
-    real_create = ssl.create_default_context
+    real_build = wire.client_context
 
     def slow_counting(*args, **kwargs):
         builds.append(1)
         time.sleep(0.05)  # widens any window between the check and the build
-        return real_create(*args, **kwargs)
+        return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(ssl, "create_default_context", slow_counting)
+    monkeypatch.setattr(wire, "client_context", slow_counting)
     http = HttpClient(
         ca_path=paths.ca_cert, client_cert=paths.client_cert,
         client_key=paths.client_key,
@@ -296,3 +299,53 @@ def test_a_scan_leaves_no_socket_unclosed_on_either_side(secure_testbed):
         and "socket" in str(w.message).lower()
     ]
     assert unclosed == []
+
+
+def test_an_allowlisted_source_the_host_cannot_bind_is_not_assessable(secure_testbed):
+    """192.0.2.77 is a TEST-NET-1 documentation address that no host
+    interface carries, so every probe from the allowlisted vantage fails at
+    bind time, before it leaves the host."""
+    manifest = dataclasses.replace(
+        secure_testbed.manifest, allowlist_sources=("192.0.2.77",)
+    )
+    results = {r.check_id: r for r in run_audit(manifest).results}
+    unbound = "cannot bind source address 192.0.2.77"
+    assert ("allowlisted-source verification not assessable from this vantage"
+            in results["NET-01"].evidence)
+    for check_id in ("DB-01", "LOG-01"):  # a TLS posture probe, an HTTP probe
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert any(unbound in line for line in results[check_id].evidence), check_id
+
+
+# Calls that open a connection or build a TLS client context of their own.
+_OWN_TRANSPORT = {
+    ("socket", "create_connection"), ("socket", "socket"),
+    ("ssl", "SSLContext"), ("ssl", "create_default_context"),
+}
+
+
+def test_only_wire_dials_or_builds_a_tls_client_context():
+    """Every probe connects with wire.dial and builds its TLS contexts with
+    wire.client_context, so the vantage and identity rules live in one
+    place. cli's ``testbed down`` port check is no probe."""
+    stray = []
+    for path in sorted(pathlib.Path(wire.__file__).parent.glob("*.py")):
+        if path.name == "wire.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits outer functions first, so the innermost name wins
+        function = {
+            inner: node.name
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)):
+                continue
+            call = (node.func.value.id, node.func.attr)
+            where = (path.name, function.get(node))
+            if call in _OWN_TRANSPORT and where != ("cli.py", "_testbed_down"):
+                stray.append((*where, node.lineno, ".".join(call)))
+    assert stray == []
