@@ -27,7 +27,7 @@ from .results import (
     AREA_ORDER, CheckResult, CheckStatus, Finding, Severity, aborted, check_sort_key,
     run_checks, uniform,
 )
-from .wire import HttpClient
+from .wire import HttpClient, WireError
 
 SCHEMA_VERSION = "1.0"
 
@@ -349,10 +349,11 @@ def _run_web_area(manifest: TargetManifest) -> list[CheckResult]:
 
 def _run_jwt_area(manifest, http, mint, wanted) -> list[CheckResult]:
     anchor = jwtkit.token_services(manifest)[0]
-    live = mint(scope=anchor.read.scope, audience=anchor.audience)
-    if live is None:
+    try:
+        live = mint(scope=anchor.read.scope, audience=anchor.audience)
+    except WireError as exc:
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
-                       "authorization server did not issue a probe token")
+                       f"authorization server did not issue a probe token: {exc}")
     return jwtkit.run_jwt_battery(manifest, live, http=http, mint=mint, wanted=wanted)
 
 

@@ -24,7 +24,9 @@ from typing import Callable, Collection, Optional
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
-from .manifest import ComponentSpec, TargetManifest, Zone, expected_zone, vantage
+from .manifest import (
+    ApiAction, ComponentSpec, TargetManifest, Zone, expected_zone, vantage,
+)
 from .results import (
     CheckResult, Outcome, attempt, fold, judged, note, run_checks, unassessable,
 )
@@ -265,8 +267,9 @@ LIFETIME_THRESHOLD_S = 900
 ALLOWED_ALGS = frozenset({"RS256", "ES256", "PS256"})
 KEY_PATHS = ("/private.pem", "/.env", "/keys/")
 
-# mint(scope, audience, lifetime_s, iat_offset_s) -> SignedToken or None.
-MintFn = Callable[..., Optional[SignedToken]]
+# mint(scope, audience, lifetime_s, iat_offset_s) -> SignedToken; raises
+# WireError when no token is issued (oauthaudit.make_mint).
+MintFn = Callable[..., SignedToken]
 
 _KEY_EXPOSURE_MARKERS = (b"PRIVATE KEY", b"client_secret=", b"CLIENT_SECRET=")
 _NO_ENFORCING = "no token-demanding action remains to present a token to"
@@ -287,32 +290,34 @@ def token_services(manifest: TargetManifest) -> list[ComponentSpec]:
 def _presented(
     http: HttpClient,
     comp: ComponentSpec,
-    method: str,
-    path: str,
-    token: str,
+    action: ApiAction,
     variant: str,
+    token: Callable[[], SignedToken],
     body: Optional[bytes] = None,
 ) -> list[Outcome]:
-    """Present one token to an action: acceptance fails the check, a
-    transport error leaves this target unassessed."""
+    """Present the token that ``token()`` returns to an action: acceptance
+    fails the check, and a token that cannot be minted or a transport error
+    leaves this presentation unassessed."""
+    label = f"{comp.id} {action.method} {action.path} with {variant} token"
 
     def present() -> list[Outcome]:
         resp = http.request(
-            method,
-            comp.primary_endpoint().url(path),
+            action.method,
+            comp.primary_endpoint().url(action.path),
             body=body,
-            headers={"Authorization": f"Bearer {token}"},
+            headers={"Authorization": f"Bearer {token().compact()}"},
             source=vantage(comp, http.allowlisted_source),
         )
         accepted = 200 <= resp.status < 300
         word = "accepted" if accepted else "rejected"
-        return [judged(
-            accepted,
-            f"{comp.id} {method} {path} with {variant} token: HTTP {resp.status} ({word})",
-            comp.id,
-        )]
+        return [judged(accepted, f"{label}: HTTP {resp.status} ({word})", comp.id)]
 
-    return attempt(comp.id, present)
+    return attempt(label, present)
+
+
+def _baseline(mint: MintFn, comp: ComponentSpec) -> SignedToken:
+    """A token for the service's read action, from the scan's mint."""
+    return mint(scope=comp.read.scope, audience=comp.audience)
 
 
 def _rejects_anonymous(
@@ -374,29 +379,21 @@ def run_jwt_battery(
     if keys is None:
         keys, unreadable = _fetch_jwks(manifest, http)
     enforcing, notes = _enforcing_services(services, http)
-
-    baselines: dict[str, Optional[SignedToken]] = {}
-
-    def baseline(comp: ComponentSpec) -> Optional[SignedToken]:
-        if comp.id not in baselines:
-            baselines[comp.id] = mint(scope=comp.read.scope, audience=comp.audience)
-        return baselines[comp.id]
-
     return run_checks(wanted, [
         ("JWT-01", lambda: _check_lifetime(live_token)),
         ("JWT-02", lambda: _check_expired(manifest, enforcing, notes, http, mint)),
         ("JWT-03", lambda: _check_algorithm(live_token)),
         ("JWT-04", lambda: _check_key_exposure(manifest, http, keys, unreadable)),
         ("JWT-05", lambda: _check_forgeries(
-            "JWT-05", enforcing, notes, baseline, http,
+            "JWT-05", enforcing, notes, mint, http,
             [StripSignature(), FlipSignatureBit(0)],
             "signature validation enforced for every variant")),
         ("JWT-06", lambda: _check_forgeries(
-            "JWT-06", enforcing, notes, baseline, http,
+            "JWT-06", enforcing, notes, mint, http,
             [SetAlgNone()], "alg=none token rejected everywhere")),
         ("JWT-07", lambda: _check_confusion(
-            manifest, enforcing, notes, baseline, http, keys, unreadable)),
-        ("JWT-08", lambda: _check_scope(services, baseline, http)),
+            manifest, enforcing, notes, mint, http, keys, unreadable)),
+        ("JWT-08", lambda: _check_scope(services, mint, http)),
         ("JWT-09", lambda: _check_audience(services, enforcing, notes, http, mint)),
         ("JWT-10", lambda: _check_web_token_storage(manifest, http)),
     ])
@@ -470,14 +467,11 @@ def _check_expired(
         # Issuer fixture parameters yield a validly signed, already expired
         # token; forging expiry would also break the signature and prove
         # nothing about expiry enforcement.
-        expired = mint(scope=comp.read.scope, audience=comp.audience,
-                       lifetime_s=60, iat_offset_s=-3600)
-        if expired is None:
-            outcomes.append(unassessable(
-                f"{comp.id}: no validly signed expired token could be minted"))
-            continue
-        outcomes += _presented(http, comp, comp.read.method, comp.read.path,
-                               expired.compact(), "validly-signed expired")
+        outcomes += _presented(
+            http, comp, comp.read, "validly-signed expired",
+            lambda: mint(scope=comp.read.scope, audience=comp.audience,
+                         lifetime_s=60, iat_offset_s=-3600),
+        )
     return fold("JWT-02", outcomes)
 
 
@@ -536,7 +530,7 @@ def _check_forgeries(
     check_id: str,
     services: list[ComponentSpec],
     notes: list[Outcome],
-    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
+    mint: MintFn,
     http: HttpClient,
     mutations: list[Mutation],
     pass_line: str,
@@ -545,14 +539,10 @@ def _check_forgeries(
     if not services:
         outcomes.append(unassessable(_NO_ENFORCING))
     for comp in services:
-        base = baseline(comp)
-        if base is None:
-            outcomes.append(unassessable(f"{comp.id}: no baseline token could be minted"))
-            continue
         for mutation in mutations:
             outcomes += _presented(
-                http, comp, comp.read.method, comp.read.path,
-                forge(base, mutation).compact(), mutation.name,
+                http, comp, comp.read, mutation.name,
+                lambda: forge(_baseline(mint, comp), mutation),
             )
     return fold(check_id, outcomes, pass_line)
 
@@ -561,7 +551,7 @@ def _check_confusion(
     manifest: TargetManifest,
     services: list[ComponentSpec],
     notes: list[Outcome],
-    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
+    mint: MintFn,
     http: HttpClient,
     keys: Optional[dict],
     unreadable: list[Outcome],
@@ -580,14 +570,14 @@ def _check_confusion(
         return fold("JWT-07", notes + [unassessable(
             f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e")])
     return _check_forgeries(
-        "JWT-07", services, notes, baseline, http, [AlgConfusionHs256(public_pem)],
+        "JWT-07", services, notes, mint, http, [AlgConfusionHs256(public_pem)],
         "HMAC-with-public-key forgery rejected everywhere",
     )
 
 
 def _check_scope(
     services: list[ComponentSpec],
-    baseline: Callable[[ComponentSpec], Optional[SignedToken]],
+    mint: MintFn,
     http: HttpClient,
 ) -> CheckResult:
     writable = [c for c in services if c.write]
@@ -595,10 +585,6 @@ def _check_scope(
         return fold("JWT-08", [unassessable("no scope-gated write action declared")])
     outcomes = []
     for comp in writable:
-        base = baseline(comp)
-        if base is None:
-            outcomes.append(unassessable(f"{comp.id}: no baseline token could be minted"))
-            continue
         body = comp.write_body.encode("utf-8") if comp.write_body else b"{}"
         if _rejects_anonymous(
             http, comp, comp.write.method, comp.write.path, body=body
@@ -609,14 +595,12 @@ def _check_scope(
             ))
             continue
         probes = [
-            (forge(base, AddScope(comp.write.scope)), "forged added-scope"),
-            (base, "legitimately scoped read-only"),
+            ("forged added-scope",
+             lambda: forge(_baseline(mint, comp), AddScope(comp.write.scope))),
+            ("legitimately scoped read-only", lambda: _baseline(mint, comp)),
         ]
-        for token, variant in probes:
-            outcomes += _presented(
-                http, comp, comp.write.method, comp.write.path,
-                token.compact(), variant, body=body,
-            )
+        for variant, token in probes:
+            outcomes += _presented(http, comp, comp.write, variant, token, body=body)
     return fold("JWT-08", outcomes, "write actions demand their declared scope")
 
 
@@ -644,12 +628,10 @@ def _check_audience(
         foreign = next(a for a in audiences if a != comp.audience)
         # Correct scope for the target, wrong audience: only the audience
         # check separates this token from a legitimate one.
-        token = mint(scope=comp.read.scope, audience=foreign)
-        if token is None:
-            outcomes.append(unassessable(f"could not mint a token for audience {foreign}"))
-            continue
-        outcomes += _presented(http, comp, comp.read.method, comp.read.path,
-                               token.compact(), f"audience={foreign}")
+        outcomes += _presented(
+            http, comp, comp.read, f"audience={foreign}",
+            lambda: mint(scope=comp.read.scope, audience=foreign),
+        )
     return fold("JWT-09", outcomes, "tokens are rejected outside their minted audience")
 
 

@@ -131,13 +131,9 @@ def check_logs(
     source = vantage(repo, http.allowlisted_source)
     read_url = repo.primary_endpoint().url(repo.read.path)
 
-    read_token = mint(scope=repo.read.scope, audience=repo.audience)
-    if read_token is None:
-        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
-                       "could not obtain a log-read token")
-    auth = {"Authorization": f"Bearer {read_token.compact()}"}
-
     try:
+        read_token = mint(scope=repo.read.scope, audience=repo.audience)
+        auth = {"Authorization": f"Bearer {read_token.compact()}"}
         resp = http.request("GET", read_url, headers=auth, source=source)
     except WireError as exc:
         return uniform(wanted, CheckStatus.NOT_ASSESSABLE, f"{repo.id}: {exc}")
@@ -201,8 +197,6 @@ def _check_chain(
     # A repository that lets writers dictate links invites silent rewrites.
     def forged_append() -> list[Outcome]:
         write_token = mint(scope=repo.write.scope, audience=repo.audience)
-        if write_token is None:
-            return [unassessable("forged-link append not probed: no write token")]
         body = json.dumps(
             {"fields": {"action": "audit-chain-probe", "actor_id": "auditor",
                         "token_subject": "auditor", "resource": "audit",
@@ -228,17 +222,13 @@ def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckRes
     if not repo.write:
         return fold("LOG-02", [unassessable(
             f"{repo.id}: no write action declared for probing")])
-    write_token = mint(scope=repo.write.scope, audience=repo.audience)
-    if write_token is None:
-        return fold("LOG-02", [unassessable("could not obtain a log-write token")])
-    auth = {"Authorization": f"Bearer {write_token.compact()}"}
     body = json.dumps(
         {"fields": {"action": "audit-worm-probe", "actor_id": "auditor",
                     "token_subject": "auditor", "resource": "audit",
                     "outcome": "probe", "timestamp": "probe"}}
     ).encode("utf-8")
 
-    def mutate(record_url: str, method: str, label: str) -> list[Outcome]:
+    def mutate(record_url: str, method: str, label: str, auth: dict) -> list[Outcome]:
         resp = http.request(method, record_url, body=body if method == "PUT" else None,
                             headers=auth, source=source)
         if 200 <= resp.status < 300:
@@ -248,6 +238,8 @@ def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckRes
         return [judged(False, f"{label} attempt rejected: HTTP {resp.status}")]
 
     def append_then_mutate() -> list[Outcome]:
+        write_token = mint(scope=repo.write.scope, audience=repo.audience)
+        auth = {"Authorization": f"Bearer {write_token.compact()}"}
         resp = http.request("POST", repo.primary_endpoint().url(repo.write.path),
                             body=body, headers=auth, source=source)
         if resp.status not in (200, 201):
@@ -262,7 +254,7 @@ def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckRes
         record_url = repo.primary_endpoint().url(f"{repo.write.path}/{appended.get('seq')}")
         for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
             outcomes += attempt(f"{label} attempt failed at transport level",
-                                lambda: mutate(record_url, method, label))
+                                lambda: mutate(record_url, method, label, auth))
         return outcomes
 
     return fold("LOG-02", attempt(repo.id, append_then_mutate))

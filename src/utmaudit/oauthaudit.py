@@ -9,6 +9,7 @@ union of the character classes it exhibits.
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass, field
@@ -100,7 +101,6 @@ class TokenResponse:
     # None when the response's scope is not a string
     granted_scope: Optional[str] = ""
     error: Optional[str] = None
-    client_cert_presented: bool = False
 
 
 def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) -> TokenResponse:
@@ -133,8 +133,7 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
             body.get("error") if isinstance(body, dict)
             else "error body is not a JSON object"
         )
-        return TokenResponse(ok=False, status=resp.status, error=error,
-                             client_cert_presented=req.present_client_cert)
+        return TokenResponse(ok=False, status=resp.status, error=error)
     try:
         body = resp.json()
         if not isinstance(body, dict):
@@ -145,32 +144,39 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
         token = jwtkit.decode(compact)
     except (ValueError, KeyError, jwtkit.TokenError) as exc:
         return TokenResponse(ok=False, status=resp.status,
-                             error=f"success body without parseable token: {exc}",
-                             client_cert_presented=req.present_client_cert)
+                             error=f"success body without parseable token: {exc}")
     granted = body.get("scope", token.claims.get("scope", ""))
     return TokenResponse(
         ok=True,
         status=resp.status,
         token=token,
         granted_scope=granted if isinstance(granted, str) else None,
-        client_cert_presented=req.present_client_cert,
     )
 
 
-def make_mint(manifest: TargetManifest, http: HttpClient):
-    """Closure the engine hands to consumers that need fresh tokens."""
+class TokenRefused(WireError):
+    """The authorization server answered a token request without a token."""
+
+
+def make_mint(manifest: TargetManifest, http: HttpClient) -> jwtkit.MintFn:
+    """The scan's one token source, which the engine hands to every area.
+
+    mint(scope, audience, lifetime_s, iat_offset_s) returns the issued token
+    or raises: TokenRefused naming the server's answer, or the request's own
+    WireError. Each distinct request goes out at most once per scan, and a
+    failure is remembered like a token. lifetime_s and iat_offset_s shape
+    issuance on an audit fixture; a caller checks audit_fixture first.
+    """
     server = manifest.oauth_server()
     client = manifest.oauth_client
 
-    def mint(scope=None, audience=None, lifetime_s=None, iat_offset_s=None):
+    @functools.cache
+    def issued(scope, audience, lifetime_s, iat_offset_s):
         extra = {}
-        if manifest.audit_fixture:
-            if lifetime_s is not None:
-                extra["x_lifetime_s"] = str(lifetime_s)
-            if iat_offset_s is not None:
-                extra["x_iat_offset_s"] = str(iat_offset_s)
-        elif lifetime_s is not None or iat_offset_s is not None:
-            return None  # issuance-shaping needs fixture cooperation
+        if lifetime_s is not None:
+            extra["x_lifetime_s"] = str(lifetime_s)
+        if iat_offset_s is not None:
+            extra["x_iat_offset_s"] = str(iat_offset_s)
         req = TokenRequest(
             grant_type="client_credentials",
             client_id=client.client_id,
@@ -182,9 +188,19 @@ def make_mint(manifest: TargetManifest, http: HttpClient):
         )
         try:
             result = request_token(server, req, http)
-        except WireError:
-            return None
-        return result.token if result.ok else None
+        except WireError as exc:  # kept, to raise again on the next ask
+            return exc
+        if result.ok:
+            return result.token
+        detail = f" (error={result.error})" if result.error else ""
+        return TokenRefused(f"{server.id} token endpoint: HTTP {result.status}{detail}")
+
+    def mint(scope=None, audience=None, lifetime_s=None,
+             iat_offset_s=None) -> jwtkit.SignedToken:
+        outcome = issued(scope, audience, lifetime_s, iat_offset_s)
+        if isinstance(outcome, WireError):
+            raise outcome
+        return outcome
 
     return mint
 

@@ -162,12 +162,19 @@ def scan_inject_target(
     target: InjectTarget,
     http: HttpClient,
     *,
-    token: Optional[str] = None,
+    mint=None,
 ) -> list[Outcome]:
-    """DB-02's outcomes for one injection target."""
+    """DB-02's outcomes for one injection target. With a mint, every
+    request carries a token for the component's read action."""
     label = f"{comp.id} {target.method.upper()} {target.path} param {target.param}"
-    return attempt(f"{label}: baseline request failed",
-                   lambda: _scan(comp, target, http, token, label))
+
+    def scan() -> list[Outcome]:
+        token = None
+        if mint is not None and comp.read is not None:
+            token = mint(scope=comp.read.scope, audience=comp.audience).compact()
+        return _scan(comp, target, http, token, label)
+
+    return attempt(f"{label}: baseline request failed", scan)
 
 
 def _scan(comp: ComponentSpec, target: InjectTarget, http: HttpClient,
@@ -254,14 +261,6 @@ def check_sql_injection(
 ) -> CheckResult:
     outcomes: list[Outcome] = []
     for comp in manifest.by_role(ComponentRole.HTTPS_GATEWAY):
-        if comp.inject is None:
-            continue
-        token = None
-        if mint is not None and comp.read is not None:
-            minted = mint(scope=comp.read.scope, audience=comp.audience)
-            if minted is None:
-                outcomes.append(unassessable(f"{comp.id}: no probe token could be minted"))
-                continue
-            token = minted.compact()
-        outcomes += scan_inject_target(comp, comp.inject, http, token=token)
+        if comp.inject is not None:
+            outcomes += scan_inject_target(comp, comp.inject, http, mint=mint)
     return fold("DB-02", outcomes)

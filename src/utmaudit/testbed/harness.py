@@ -17,7 +17,6 @@ import shutil
 import socket
 import string
 import tempfile
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -214,19 +213,6 @@ storage_path = {workdir / 'isa_store.bin'}
 """
 
 
-def _wait_ready(ports: list[int], timeout_s: float = 5.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    for port in ports:
-        while True:
-            try:
-                with socket.create_connection((HOST, port), timeout=0.5):
-                    break
-            except OSError:
-                if time.monotonic() > deadline:
-                    raise RuntimeError(f"testbed port {port} never came up")
-                time.sleep(0.05)
-
-
 def start_testbed(
     toggles=(),
     *,
@@ -343,9 +329,10 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
             listener.stop()
         raise
 
+    # Every listener bound and listened in its constructor: from here on a
+    # connect waits in the backlog until the listener's thread accepts it.
     for listener in listeners:
         listener.start()
-    _wait_ready([base + i for i in range(PORT_SPAN)])
 
     manifest_text = _manifest_text(
         port_base=base,

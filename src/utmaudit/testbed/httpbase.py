@@ -211,35 +211,26 @@ class JsonHandler(BaseHTTPRequestHandler):
     def send_json(
         self, status: int, obj, extra_headers: tuple[tuple[str, str], ...] = ()
     ) -> None:
-        self._discard_unread_body()
-        body = json.dumps(obj).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_bytes(status, json.dumps(obj).encode(), "application/json",
+                        extra_headers)
 
     def send_html(
         self, status: int, markup: str,
         extra_headers: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        self._discard_unread_body()
-        body = markup.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.send_bytes(status, markup.encode(), "text/html; charset=utf-8",
+                        extra_headers)
 
-    def send_bytes(self, status: int, body: bytes, content_type: str) -> None:
+    def send_bytes(
+        self, status: int, body: bytes, content_type: str,
+        extra_headers: tuple[tuple[str, str], ...] = (),
+    ) -> None:
         self._discard_unread_body()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in extra_headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 

@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from utmaudit import engine
 from utmaudit.engine import (
     REGISTRY,
     SCHEMA_VERSION,
@@ -25,6 +26,7 @@ from utmaudit.engine import (
 )
 from utmaudit.manifest import parse_manifest
 from utmaudit.results import AREA_ORDER, CheckStatus, Severity, check_sort_key
+from utmaudit.wire import HttpClient, HttpResponse
 
 AREA_SIZES = {"NET": 2, "DB": 4, "OAUTH": 6, "JWT": 10, "WEB": 1, "LOG": 4}
 
@@ -252,6 +254,36 @@ def test_unreachable_target_reports_conditional_skips_and_no_false_passes():
         if result.check_id == "NET-01":
             continue
         assert result.status is not CheckStatus.PASS, result.check_id
+
+
+class _WriteTokensUnavailable(HttpClient):
+    """The token endpoint answers 503 to every request for logs.write."""
+
+    def request(self, method, url, **kwargs):
+        if (kwargs.get("form") or {}).get("scope") == "logs.write":
+            return HttpResponse(503, [], b'{"error": "temporarily_unavailable"}')
+        return super().request(method, url, **kwargs)
+
+
+def test_a_refused_token_costs_only_the_probes_that_need_it(
+    secure_testbed, secure_audit, monkeypatch,
+):
+    monkeypatch.setattr(engine, "HttpClient", _WriteTokensUnavailable)
+    results = {r.check_id: r for r in run_audit(secure_testbed.manifest).results}
+    refused = "oauth-server token endpoint: HTTP 503 (error=temporarily_unavailable)"
+    assert results["LOG-02"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["LOG-02"].evidence == [f"log-repo: {refused}"]
+    assert results["LOG-03"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["LOG-03"].evidence == [
+        "hash chain verifies from genesis to head: all links valid",
+        f"forged-link append not probed: {refused}",
+    ]
+    secure, _ = secure_audit
+    for expected in secure.results:
+        result = results[expected.check_id]
+        assert not any("probe aborted" in line for line in result.evidence)
+        if expected.check_id not in ("LOG-02", "LOG-03"):
+            assert result.status is expected.status, expected.check_id
 
 
 def test_report_dict_round_trip(secure_audit):

@@ -60,7 +60,8 @@ def test_transport_error_on_one_service_keeps_a_fail_elsewhere(close_after):
     assert result.component_id == "gateway"
     assert any("with none-alg token" in line and "(accepted)" in line
                for line in result.evidence), result.evidence
-    assert any(line.startswith("log-repo: ") for line in result.evidence), result.evidence
+    assert any(line.startswith("log-repo GET /records with none-alg token: ")
+               for line in result.evidence), result.evidence
 
 
 def test_malformed_jwks_costs_only_the_confusion_check(

@@ -1,20 +1,26 @@
 """Secret-strength arithmetic and token-request guard rails."""
 
+import concurrent.futures
 import json
 import math
+import sys
 
 import pytest
 
+from utmaudit import oauthaudit
 from utmaudit.manifest import ComponentRole, ComponentSpec, Endpoint, parse_manifest
 from utmaudit.oauthaudit import (
     AuditorError,
+    TokenRefused,
     TokenRequest,
+    TokenResponse,
     check_oauth,
     estimate_secret_strength,
+    make_mint,
     request_token,
 )
 from utmaudit.results import CheckStatus
-from utmaudit.wire import HttpClient, HttpResponse
+from utmaudit.wire import HttpClient, HttpResponse, WireError
 
 from .oracles.token_signing import make_token
 
@@ -130,3 +136,83 @@ endpoints = https://127.0.0.1:1
     [result] = check_oauth(manifest, _StubHttp(200, body), ["OAUTH-02"])
     assert result.status is CheckStatus.NOT_ASSESSABLE
     assert result.evidence == ["granted scope in the token response is not a string"]
+
+
+_AUTH_ONLY = parse_manifest(b"""\
+[client]
+client_id = auditor
+client_secret = 0123456789abcdef0123456789abcdef
+
+[component auth]
+role = OAuthServer
+endpoints = https://127.0.0.1:1
+""")
+
+
+@pytest.fixture
+def token_requests(monkeypatch):
+    """Stubs request_token and records each request's (scope, audience). The
+    scope "refused" is answered HTTP 503, the scope "unreachable" raises a
+    transport error, and every other scope gets a token."""
+    sent = []
+    token = make_token({"alg": "none"}, {"sub": "auditor"}, None)
+
+    def answer(server, req, http):
+        sent.append((req.scope, req.audience))
+        if req.scope == "refused":
+            return TokenResponse(ok=False, status=503, error="temporarily_unavailable")
+        if req.scope == "unreachable":
+            raise WireError("POST https://127.0.0.1:1/token: timed out")
+        return TokenResponse(ok=True, status=200, token=token)
+
+    monkeypatch.setattr(oauthaudit, "request_token", answer)
+    return sent
+
+
+def test_mint_requests_each_distinct_token_once(token_requests):
+    mint = make_mint(_AUTH_ONLY, HttpClient())
+    first = mint(scope="utm.read", audience="gateway")
+    assert mint(scope="utm.read", audience="gateway") is first
+    mint(scope="utm.read", audience="logs")
+    assert token_requests == [("utm.read", "gateway"), ("utm.read", "logs")]
+
+
+@pytest.mark.parametrize("scope,error,text", [
+    ("refused", TokenRefused,
+     "auth token endpoint: HTTP 503 (error=temporarily_unavailable)"),
+    ("unreachable", WireError, "POST https://127.0.0.1:1/token: timed out"),
+])
+def test_a_failed_token_request_raises_every_time_and_is_not_repeated(
+    token_requests, scope, error, text,
+):
+    mint = make_mint(_AUTH_ONLY, HttpClient())
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            mint(scope=scope, audience="gateway")
+        assert str(raised.value) == text
+    assert token_requests == [(scope, "gateway")]
+
+
+def test_concurrent_mints_ask_each_token_at_most_once_per_caller(token_requests):
+    """Areas share one mint. Two that ask for one token at the same moment
+    may each send a request, but no caller sends a token's request twice."""
+    mint = make_mint(_AUTH_ONLY, HttpClient())
+    scopes = ["utm.read", "utm.write", "logs.read", "refused"]
+
+    def caller(_) -> None:
+        for _ in range(200):
+            for scope in scopes:
+                try:
+                    assert mint(scope=scope).claims == {"sub": "auditor"}
+                except TokenRefused:
+                    assert scope == "refused"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(caller, range(8), timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    for scope in scopes:
+        assert 1 <= token_requests.count((scope, None)) <= 8, scope

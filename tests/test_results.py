@@ -1,10 +1,16 @@
 """The verdict fold and per-check isolation."""
 
+import ast
+import builtins
+import importlib
+import pathlib
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pytest
 
+from utmaudit import results
 from utmaudit.results import (
     CheckResult, CheckStatus, Outcome, attempt, fold, judged, run_checks, unassessable,
 )
@@ -76,3 +82,63 @@ def test_attempt_turns_one_transport_error_into_its_own_line():
     assert attempt("db", refused) == [unassessable("db: refused")]
     with pytest.raises(KeyError):
         attempt("gw", lambda: {}["missing"])
+
+
+# The functions outside wire.py and results.attempt that catch a transport
+# error (WireError, OSError or a subclass), each for a reason of its own.
+# Every other transport error ends as results.attempt's "<label>: <error>".
+_TRANSPORT_HANDLERS = {
+    # decision inputs
+    ("logaudit.py", "_check_access"),  # LOG-04: a refused read is refused access
+    ("jwtkit.py", "_rejects_anonymous"),  # unsent pre-check keeps the service in
+    ("sqliprobe.py", "fetch"),  # DB-02 counts dropped payloads into one line
+    ("logaudit.py", "check_logs"),  # no record listing, no LOG check
+    ("engine.py", "_run_jwt_area"),  # no anchor token, no JWT check
+    ("netprobe.py", "_connect_and_read"),  # NET: refused, timed out or silent
+    ("netprobe.py", "run"),  # NET: an allowlisted source the host cannot bind
+    ("netprobe.py", "_client_hello"),  # NET: the ClientHello written in memory
+    ("tlsaudit.py", "_handshake"),  # DB-01: handshake refused or banner withheld
+    ("tlsaudit.py", "_plaintext_peek"),  # DB-01: no plaintext banner
+    # the mint keeps a failed token request to raise it again
+    ("oauthaudit.py", "issued"),
+    # the command line's own files, processes and port check; no probe
+    ("cli.py", "_testbed_up"),
+    ("cli.py", "_testbed_down"),
+    ("cli.py", "main"),
+}
+
+
+def _caught(node: ast.expr, namespace: dict) -> list:
+    """The classes an except clause names, looked up in its module."""
+    names = node.elts if isinstance(node, ast.Tuple) else [node]
+    return [
+        getattr(namespace[name.value.id], name.attr) if isinstance(name, ast.Attribute)
+        else namespace.get(name.id, getattr(builtins, name.id, None))
+        for name in names
+    ]
+
+
+def test_transport_errors_are_caught_only_where_they_decide_the_outcome():
+    """results.attempt is the one place that turns a transport error into
+    NotAssessable; any other handler must be one of the listed inputs."""
+    places = set()
+    for path in sorted(pathlib.Path(results.__file__).parent.glob("*.py")):
+        if path.name == "wire.py":
+            continue
+        name = "utmaudit" if path.stem == "__init__" else f"utmaudit.{path.stem}"
+        namespace = vars(importlib.import_module(name))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits outer functions first, so the innermost name wins
+        function = {
+            inner: node.name
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(c, type) and issubclass(c, (OSError, WireError))
+                for c in _caught(node.type, namespace)
+            ):
+                places.add((path.name, function.get(node)))
+    places.discard(("results.py", "attempt"))
+    assert places == _TRANSPORT_HANDLERS

@@ -503,6 +503,8 @@ def test_raw_listener_connections_have_nodelay():
 def test_port_clash_surfaces_as_oserror_so_start_can_retry():
     base = find_free_port_base()
     with socket.socket() as blocker:
+        # as find_free_port_base probes: a port left in TIME_WAIT is free
+        blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         blocker.bind(("127.0.0.1", base + 7))
         blocker.listen(1)
         with pytest.raises(OSError):

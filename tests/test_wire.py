@@ -315,6 +315,10 @@ def test_an_allowlisted_source_the_host_cannot_bind_is_not_assessable(secure_tes
     for check_id in ("DB-01", "LOG-01"):  # a TLS posture probe, an HTTP probe
         assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
         assert any(unbound in line for line in results[check_id].evidence), check_id
+    # each probe names what it sent, so two probes that fail alike still
+    # leave two different lines
+    for check_id, result in results.items():
+        assert len(set(result.evidence)) == len(result.evidence), check_id
 
 
 # Calls that open a connection or build a TLS client context of their own.
