@@ -2,8 +2,9 @@
 
 Generates a private CA, a server certificate valid for loopback names, a
 client certificate for the auditor, and a standalone RSA keypair used only
-for signing tokens. Everything lives in memory until written to a scratch
-directory for the TLS listeners.
+for signing tokens. Everything lives in memory until written to a
+directory: once for the TLS server contexts, and once into each testbed's
+workdir for the files its manifest names.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import ipaddress
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,16 +99,16 @@ def _issue(
 
 
 def make_bundle() -> CertBundle:
-    ca_key = _new_key()
+    # RSA key generation releases the GIL, so the four keys are made at once
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        ca_key, server_key, client_key, jwt_key = pool.map(
+            lambda _: _new_key(), range(4)
+        )
+
     ca_cert = _issue("testbed-ca", ca_key, _name("testbed-ca"), ca_key, is_ca=True)
-
-    server_key = _new_key()
     server_cert = _issue("testbed", server_key, ca_cert.subject, ca_key, server=True)
-
-    client_key = _new_key()
     client_cert = _issue("auditor", client_key, ca_cert.subject, ca_key, client_auth=True)
 
-    jwt_key = _new_key()
     jwt_public = jwt_key.public_key().public_bytes(
         serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
     )

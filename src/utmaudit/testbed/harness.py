@@ -2,9 +2,12 @@
 
 One testbed is seven declared components on eight consecutive loopback
 ports, plus a private CA and a client credential pair, generated once per
-process, and a target manifest describing all of it. Restricted services
-only accept connections from the allowlisted source address (a second
-loopback address), which is how the scanner's two network vantages differ.
+process, and a target manifest describing all of it. The TLS server
+contexts are built once per process with that PKI, so the testbeds of one
+process share them, and with them their TLS session-ticket keys; the
+scanner never resumes a session. Restricted services only accept
+connections from the allowlisted source address (a second loopback
+address), which is how the scanner's two network vantages differ.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 import secrets
 import shutil
 import socket
+import ssl
 import string
 import tempfile
 from dataclasses import dataclass, field
@@ -28,7 +32,7 @@ from .gateway import GatewayHandler, GatewayService
 from .httpbase import Listener, TestbedHttpServer, https_context
 from .logrepo import LogRepoHandler, LogRepoService
 from .oauth_server import OAuthConfig, OAuthHandler, OAuthService
-from .rawlisteners import make_db_node, make_kms
+from .rawlisteners import db_server_context, make_db_node, make_kms
 from .store import IsaStore, write_at_rest
 from .toggles import Switches, toggles_for_profile
 from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicWebService
@@ -132,13 +136,38 @@ def _weak_secret() -> str:
             return secret
 
 
+@dataclass(frozen=True)
+class _Credentials:
+    bundle: CertBundle
+    keys: tokens.SigningKeys
+    strong_secret: str
+    https: ssl.SSLContext
+    https_optional_client_cert: ssl.SSLContext  # the oauth-server's
+    db_tls13: ssl.SSLContext
+    db_tls12: ssl.SSLContext
+
+
 @functools.cache
-def _process_credentials() -> tuple[CertBundle, tokens.SigningKeys, str]:
-    """The PKI, its parsed JWT key and the strong client secret: no toggle
-    changes them, so one process builds them once for all its testbeds."""
+def _process_credentials() -> _Credentials:
+    """The PKI, its parsed JWT key, the strong client secret and the four
+    TLS server contexts built from that PKI: no toggle changes them, so one
+    process builds them once for all its testbeds. A context keeps its key
+    and certificates in memory, so the files it loads are removed at once."""
     bundle = make_bundle()
     jwt = (bundle.jwt_private_pem, bundle.jwt_public_pem, bundle.jwt_kid)
-    return bundle, tokens.make_signing_keys(*jwt), _strong_secret()
+    with tempfile.TemporaryDirectory(prefix="utm-pki-") as scratch:
+        paths = write_bundle(bundle, scratch)
+        return _Credentials(
+            bundle=bundle,
+            keys=tokens.make_signing_keys(*jwt),
+            strong_secret=_strong_secret(),
+            https=https_context(paths),
+            https_optional_client_cert=https_context(
+                paths, client_cert_mode="optional"
+            ),
+            db_tls13=db_server_context(paths),
+            db_tls12=db_server_context(paths, tls12_only=True),
+        )
 
 
 def _manifest_text(
@@ -246,9 +275,11 @@ def _start_once(switches: Switches, base: int) -> Testbed:
 
 
 def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
-    bundle, keys, strong_secret = _process_credentials()
-    paths = write_bundle(bundle, str(workdir / "pki"))
-    client_secret = _weak_secret() if switches.weak_secret else strong_secret
+    creds = _process_credentials()
+    paths = write_bundle(creds.bundle, str(workdir / "pki"))
+    client_secret = (
+        _weak_secret() if switches.weak_secret else creds.strong_secret
+    )
 
     # at-rest persistence for the airspace store
     if switches.no_at_rest_encryption:
@@ -271,7 +302,7 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     persist()
 
     oauth_service = OAuthService(
-        keys,
+        creds.keys,
         OAuthConfig(
             client_id="auditor-client",
             client_secret=client_secret,
@@ -282,12 +313,18 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     oauth_service.write_secret_store(str(workdir / "oauth_clients.txt"))
     declared_lifetime = oauth_service.issuer_policy.lifetime_s
 
-    gateway_service = GatewayService(isa_store, keys, switches, persist)
-    logrepo_service = LogRepoService(keys, switches)
+    gateway_service = GatewayService(isa_store, creds.keys, switches, persist)
+    logrepo_service = LogRepoService(creds.keys, switches)
     admin_service = AdminWebService(switches)
 
     restricted_allowlist = frozenset({ALLOWLISTED_SOURCE})
     db_allowlist = None if switches.expose_dbnode else restricted_allowlist
+    if switches.plaintext_dbnode:
+        db_tls = None
+    elif switches.tls12_dbnode:
+        db_tls = creds.db_tls12
+    else:
+        db_tls = creds.db_tls13
 
     listeners: list[Listener] = []
 
@@ -300,17 +337,17 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     try:
         add_http(
             0, OAuthHandler, oauth_service,
-            tls=https_context(paths, client_cert_mode="optional"),
+            tls=creds.https_optional_client_cert,
         )
-        add_http(1, GatewayHandler, gateway_service, tls=https_context(paths))
+        add_http(1, GatewayHandler, gateway_service, tls=creds.https)
         add_http(2, PublicWebHandler, PublicWebService())
         add_http(
             3, AdminWebHandler, admin_service,
-            tls=https_context(paths), allowlist=restricted_allowlist,
+            tls=creds.https, allowlist=restricted_allowlist,
         )
         add_http(
             4, LogRepoHandler, logrepo_service,
-            tls=https_context(paths), allowlist=restricted_allowlist,
+            tls=creds.https, allowlist=restricted_allowlist,
         )
         listeners.append(
             make_kms(HOST, base + 5, allowlist=restricted_allowlist)
@@ -318,10 +355,7 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
         for offset in (6, 7):
             listeners.append(
                 make_db_node(
-                    HOST, base + offset, paths,
-                    plaintext=switches.plaintext_dbnode,
-                    tls12_only=switches.tls12_dbnode,
-                    allowlist=db_allowlist,
+                    HOST, base + offset, db_tls, allowlist=db_allowlist
                 )
             )
     except OSError:
@@ -355,6 +389,6 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
         manifest=manifest,
         client_secret=client_secret,
         cert_paths=paths,
-        signing_keys=keys,
+        signing_keys=creds.keys,
         _listeners=listeners,
     )

@@ -101,22 +101,15 @@ def _kms_banner(conn: socket.socket) -> bytes:
 def make_db_node(
     host: str,
     port: int,
-    paths: CertPaths,
+    tls_context: Optional[ssl.SSLContext],
     *,
-    plaintext: bool = False,
-    tls12_only: bool = False,
     allowlist: Optional[frozenset[str]] = None,
 ) -> RawListener:
-    if plaintext:
-        return RawListener(
-            host, port, _db_plaintext_banner, tls_context=None, allowlist=allowlist
-        )
+    """A database node that speaks TLS with ``tls_context``, or plaintext
+    when it is None."""
+    banner = _db_plaintext_banner if tls_context is None else _db_banner
     return RawListener(
-        host,
-        port,
-        _db_banner,
-        tls_context=db_server_context(paths, tls12_only=tls12_only),
-        allowlist=allowlist,
+        host, port, banner, tls_context=tls_context, allowlist=allowlist
     )
 
 

@@ -6,14 +6,17 @@ import os
 import pathlib
 import re
 import socket
+import ssl
 import threading
 
 import pytest
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
+from utmaudit import wire
 from utmaudit.manifest import ComponentRole
-from utmaudit.oauthaudit import estimate_secret_strength
+from utmaudit.oauthaudit import check_oauth, estimate_secret_strength
+from utmaudit.results import CheckStatus
 from utmaudit.testbed import harness, httpbase, tokens
 from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
 from utmaudit.testbed.rawlisteners import RawListener, make_kms
@@ -25,6 +28,7 @@ from utmaudit.testbed.toggles import (
     load_matrix,
     toggles_for_profile,
 )
+from utmaudit.tlsaudit import check_db_transport
 from utmaudit.wire import HttpClient, WireError
 
 
@@ -134,6 +138,33 @@ def test_no_toggle_name_is_spelt_outside_the_registry():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and node.value in TOGGLES
     ]
+    assert stray == []
+
+
+def test_server_contexts_are_built_only_with_the_process_credentials():
+    """Only https_context and db_server_context make an SSLContext in the
+    testbed, and only harness._process_credentials calls them, so no
+    testbed start builds a server context or reads a key file."""
+    builders = {"https_context", "db_server_context"}
+    stray = []
+    for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits outer functions first, so the innermost name wins
+        function = {
+            inner: node.name
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            where = (path.name, function.get(node))
+            outside_builders = called == "SSLContext" and where[1] not in builders
+            per_start = (called in builders
+                         and where != ("harness.py", "_process_credentials"))
+            if outside_builders or per_start:
+                stray.append((*where, node.lineno, called))
     assert stray == []
 
 
@@ -424,17 +455,36 @@ def _jwks_kid(tb):
     return resp.json()["keys"][0]["kid"]
 
 
+def _server_cert(tb, offset):
+    """The certificate that the service at ``offset`` presents, from a
+    handshake that verifies it against the testbed's CA."""
+    client = tb.manifest.oauth_client
+    context = wire.client_context(tb.manifest.ca_path, client.certificate, client.key)
+    with wire.dial("127.0.0.1", tb.port(offset), "127.0.0.2", 5) as sock, \
+            context.wrap_socket(sock) as tls:
+        return tls.getpeercert(binary_form=True)
+
+
 def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
     monkeypatch,
 ):
     real_make_bundle = harness.make_bundle
     made = []
+    built = []
 
     def counting_make_bundle():
         made.append(real_make_bundle())
         return made[-1]
 
+    def counting(builder):
+        def build(*args, **kwargs):
+            built.append(builder.__name__)
+            return builder(*args, **kwargs)
+        return build
+
     monkeypatch.setattr(harness, "make_bundle", counting_make_bundle)
+    for name in ("https_context", "db_server_context"):
+        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
     harness._process_credentials.cache_clear()
     first = start_testbed()
     try:
@@ -444,6 +494,8 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
         raise
     try:
         assert len(made) == 1
+        # four server contexts for the process, none for either start
+        assert sorted(built) == ["db_server_context"] * 2 + ["https_context"] * 2
         assert first.workdir != second.workdir
         assert first.port_base != second.port_base
         ca = [pathlib.Path(tb.manifest.ca_path).read_bytes() for tb in (first, second)]
@@ -458,6 +510,47 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
         first.stop()
         second.stop()
     assert not os.path.exists(os.path.join(second.workdir, "pki"))
+
+    # new credentials bring new server contexts: the next testbed's HTTPS
+    # services and db nodes present the new server certificate
+    harness._process_credentials.cache_clear()
+    third = start_testbed()
+    try:
+        assert len(made) == 2 and len(built) == 8
+        assert made[1].ca_cert_pem != made[0].ca_cert_pem
+        new_cert = ssl.PEM_cert_to_DER_cert(made[1].server_cert_pem.decode())
+        for offset in (0, 1, 3, 4, 6, 7):
+            assert _server_cert(third, offset) == new_cert
+    finally:
+        third.stop()
+
+
+def test_testbeds_alive_at_once_keep_their_own_tls_posture(close_after):
+    """The shared server contexts follow every input that shapes them: a
+    TLS 1.2 db node beside a TLS 1.3 one keeps its version, and each
+    oauth-server still binds issuance to the client certificate."""
+    secure_tb = start_testbed()
+    try:
+        legacy_tb = start_testbed(("tls12-dbnode",))
+    except BaseException:
+        secure_tb.stop()
+        raise
+    try:
+        for tb, version, status in (
+            (secure_tb, "TLSv1.3", CheckStatus.PASS),
+            (legacy_tb, "TLSv1.2", CheckStatus.FAIL),
+        ):
+            db01 = check_db_transport(tb.manifest)
+            assert db01.status is status
+            assert len(db01.evidence) == 2
+            assert all(version in line for line in db01.evidence), db01.evidence
+            http = close_after(_client(tb))
+            [oauth01] = check_oauth(tb.manifest, http, ["OAUTH-01"])
+            assert oauth01.status is CheckStatus.PASS, oauth01.evidence
+            _mint(tb, http, "utm.read", "gateway")
+    finally:
+        secure_tb.stop()
+        legacy_tb.stop()
 
 
 def test_stopping_an_unstarted_listener_returns_quietly():

@@ -10,7 +10,7 @@ from utmaudit import tlsaudit
 from utmaudit.manifest import ComponentRole, Endpoint, parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.testbed.certs import make_bundle, write_bundle
-from utmaudit.testbed.rawlisteners import make_db_node, make_kms
+from utmaudit.testbed.rawlisteners import db_server_context, make_db_node, make_kms
 from utmaudit.tlsaudit import (
     ClientCertDemand,
     ClientContexts,
@@ -35,9 +35,9 @@ def _free_port():
     return port
 
 
-def _run_node(pki, **kwargs):
+def _run_node(tls_context):
     port = _free_port()
-    node = make_db_node("127.0.0.1", port, pki, **kwargs)
+    node = make_db_node("127.0.0.1", port, tls_context)
     node.start()
     return node, Endpoint(host="127.0.0.1", port=port, scheme="tcp")
 
@@ -47,7 +47,7 @@ def _identified(pki):
 
 
 def test_strict_node_posture(pki):
-    node, ep = _run_node(pki)
+    node, ep = _run_node(db_server_context(pki))
     try:
         posture = probe_tls(ep, _identified(pki))
     finally:
@@ -60,7 +60,7 @@ def test_strict_node_posture(pki):
 
 
 def test_plaintext_node_detected(pki):
-    node, ep = _run_node(pki, plaintext=True)
+    node, ep = _run_node(None)
     try:
         posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
     finally:
@@ -71,7 +71,7 @@ def test_plaintext_node_detected(pki):
 
 
 def test_tls12_node_flagged_as_legacy(pki):
-    node, ep = _run_node(pki, tls12_only=True)
+    node, ep = _run_node(db_server_context(pki, tls12_only=True))
     try:
         posture = probe_tls(ep, _identified(pki))
     finally:
@@ -84,7 +84,7 @@ def test_tls12_node_flagged_as_legacy(pki):
 def test_anonymous_peer_rejected_post_handshake(pki):
     # TLS 1.3 delivers certificate_required after the client finishes, so
     # the no-certificate probe must fail only at its first read
-    node, ep = _run_node(pki)
+    node, ep = _run_node(db_server_context(pki))
     try:
         posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
     finally:
@@ -111,7 +111,8 @@ def test_kms_banner_is_plaintext():
 def test_allowlisted_node_drops_unlisted_peer(pki):
     port = _free_port()
     node = make_db_node(
-        "127.0.0.1", port, pki, allowlist=frozenset({"127.0.0.2"})
+        "127.0.0.1", port, db_server_context(pki),
+        allowlist=frozenset({"127.0.0.2"}),
     )
     node.start()
     try:
@@ -155,7 +156,7 @@ def _manifest_for(port, pki, *, storage=None, declared="AES-256", mode="introspe
 
 
 def test_db_transport_pass_and_fail(pki):
-    node, ep = _run_node(pki)
+    node, ep = _run_node(db_server_context(pki))
     try:
         result = check_db_transport(_manifest_for(ep.port, pki))
         assert result.status is CheckStatus.PASS
@@ -163,7 +164,7 @@ def test_db_transport_pass_and_fail(pki):
     finally:
         node.stop()
 
-    node, ep = _run_node(pki, plaintext=True)
+    node, ep = _run_node(None)
     try:
         result = check_db_transport(_manifest_for(ep.port, pki))
         assert result.status is CheckStatus.FAIL
