@@ -25,9 +25,9 @@ from .manifest import (
 from .oauthaudit import make_mint
 from .results import (
     AREA_ORDER, CheckResult, CheckStatus, Finding, Severity, aborted, check_sort_key,
-    run_checks, uniform,
+    run_checks,
 )
-from .wire import HttpClient, WireError
+from .wire import HttpClient
 
 SCHEMA_VERSION = "1.0"
 
@@ -347,16 +347,6 @@ def _run_web_area(manifest: TargetManifest) -> list[CheckResult]:
     )]
 
 
-def _run_jwt_area(manifest, http, mint, wanted) -> list[CheckResult]:
-    anchor = jwtkit.token_services(manifest)[0]
-    try:
-        live = mint(scope=anchor.read.scope, audience=anchor.audience)
-    except WireError as exc:
-        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
-                       f"authorization server did not issue a probe token: {exc}")
-    return jwtkit.run_jwt_battery(manifest, live, http=http, mint=mint, wanted=wanted)
-
-
 def run_audit(
     manifest: TargetManifest,
     selection: Optional[set[str]] = None,
@@ -368,10 +358,11 @@ def run_audit(
     Areas fan out to worker threads; within one area checks run serially so
     evidence trails stay readable. Applicability comes from ``_RULES`` alone:
     each area runs just its selected, applicable checks, and everything else
-    selected is reported Skipped with its rule's reason. A check that raises
-    comes back NotAssessable on its own; a failure in an area's shared
-    set-up does the same for that area's checks. With a selection only the
-    named checks appear in the report.
+    selected is reported Skipped with its rule's reason. An input that several
+    checks share is fetched once, by the first check that reads it, so its
+    failure costs only those checks. A check that raises comes back
+    NotAssessable on its own. With a selection only the named checks appear
+    in the report.
     """
     if selection is not None:
         unknown = set(selection) - set(_BY_ID)
@@ -420,7 +411,8 @@ def run_audit(
         "NET": run_net,
         "DB": run_db,
         "OAUTH": lambda: oauthaudit.check_oauth(manifest, http, active["OAUTH"]),
-        "JWT": lambda: _run_jwt_area(manifest, http, mint, active["JWT"]),
+        "JWT": lambda: jwtkit.run_jwt_battery(
+            manifest, http=http, mint=mint, wanted=active["JWT"]),
         "WEB": lambda: _run_web_area(manifest),
         "LOG": lambda: logaudit.check_logs(manifest, mint, http, active["LOG"]),
     }
@@ -437,10 +429,11 @@ def run_audit(
             area = futures[future]
             try:
                 area_results = future.result()
-            except Exception as exc:  # area set-up failed; never abort the audit
-                area_results = uniform(
-                    active[area], CheckStatus.NOT_ASSESSABLE, aborted(exc)
-                )
+            except Exception as exc:  # a worker that raised; never abort the audit
+                area_results = [
+                    CheckResult(i, CheckStatus.NOT_ASSESSABLE, [aborted(exc)])
+                    for i in active[area]
+                ]
             for result in area_results:
                 collected[result.check_id] = result
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import hashlib
 import hmac
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Optional
@@ -365,36 +367,53 @@ def _enforcing_services(
 
 def run_jwt_battery(
     manifest: TargetManifest,
-    live_token: SignedToken,
-    keys: Optional[dict] = None,
     *,
     http: HttpClient,
     mint: MintFn,
     wanted: Collection[str],
 ) -> list[CheckResult]:
     """Execute the wanted checks of JWT-01..JWT-10 against every
-    token-accepting service."""
+    token-accepting service. Shared inputs are fetched once, by the first
+    check that reads them, so a failure costs only the checks that do."""
     services = token_services(manifest)
-    unreadable: list[Outcome] = []
-    if keys is None:
-        keys, unreadable = _fetch_jwks(manifest, http)
-    enforcing, notes = _enforcing_services(services, http)
+    jwks = functools.cache(lambda: _fetch_jwks(manifest, http))
+    enforcing = functools.cache(lambda: _enforcing_services(services, http))
+
+    def judge_issued(check_id: str, judge: Callable[[SignedToken], Outcome]) -> CheckResult:
+        # JWT-01 and JWT-03 judge the token issued for the first service.
+        return fold(check_id, attempt(
+            "authorization server did not issue a probe token",
+            lambda: [judge(_baseline(mint, services[0]))]))
+
+    def presenting(check_id: str, probes: Callable[[list[ComponentSpec]], list[Outcome]],
+                   pass_line: Optional[str] = None) -> CheckResult:
+        # Tokens go only to services that demand one; each other service
+        # leaves its note.
+        targets, notes = enforcing()
+        if not targets:
+            return fold(check_id, notes + [unassessable(_NO_ENFORCING)])
+        return fold(check_id, notes + probes(targets), pass_line)
+
     return run_checks(wanted, [
-        ("JWT-01", lambda: _check_lifetime(live_token)),
-        ("JWT-02", lambda: _check_expired(manifest, enforcing, notes, http, mint)),
-        ("JWT-03", lambda: _check_algorithm(live_token)),
-        ("JWT-04", lambda: _check_key_exposure(manifest, http, keys, unreadable)),
-        ("JWT-05", lambda: _check_forgeries(
-            "JWT-05", enforcing, notes, mint, http,
-            [StripSignature(), FlipSignatureBit(0)],
-            "signature validation enforced for every variant")),
-        ("JWT-06", lambda: _check_forgeries(
-            "JWT-06", enforcing, notes, mint, http,
-            [SetAlgNone()], "alg=none token rejected everywhere")),
-        ("JWT-07", lambda: _check_confusion(
-            manifest, enforcing, notes, mint, http, keys, unreadable)),
+        ("JWT-01", lambda: judge_issued("JWT-01", _lifetime)),
+        ("JWT-02", lambda: presenting(
+            "JWT-02", lambda targets: _expired(manifest, targets, http, mint))),
+        ("JWT-03", lambda: judge_issued("JWT-03", _algorithm)),
+        ("JWT-04", lambda: _check_key_exposure(manifest, http, *jwks())),
+        ("JWT-05", lambda: presenting(
+            "JWT-05", lambda targets: _forgeries(
+                targets, mint, http, [StripSignature(), FlipSignatureBit(0)]),
+            pass_line="signature validation enforced for every variant")),
+        ("JWT-06", lambda: presenting(
+            "JWT-06", lambda targets: _forgeries(targets, mint, http, [SetAlgNone()]),
+            pass_line="alg=none token rejected everywhere")),
+        ("JWT-07", lambda: presenting(
+            "JWT-07", lambda targets: _confusion(manifest, targets, mint, http, jwks),
+            pass_line="HMAC-with-public-key forgery rejected everywhere")),
         ("JWT-08", lambda: _check_scope(services, mint, http)),
-        ("JWT-09", lambda: _check_audience(services, enforcing, notes, http, mint)),
+        ("JWT-09", lambda: presenting(
+            "JWT-09", lambda targets: _audience(services, targets, http, mint),
+            pass_line="tokens are rejected outside their minted audience")),
         ("JWT-10", lambda: _check_web_token_storage(manifest, http)),
     ])
 
@@ -428,41 +447,41 @@ def _fetch_jwks(
     return doc, unreadable
 
 
-def _check_lifetime(live_token: SignedToken) -> CheckResult:
-    claims = live_token.claims
-    if "exp" not in claims:
-        return fold("JWT-01", [judged(
-            True, "issued token carries no exp claim (unbounded lifetime)")])
-    if "iat" not in claims:
-        return fold("JWT-01", [judged(
-            True, "issued token carries exp but no iat; lifetime cannot be bounded "
-            "at issue time")])
+def _is_number(value) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _lifetime(token: SignedToken) -> Outcome:
+    # A claim that is not a number bounds nothing, like a missing one.
+    claims = token.claims
+    if not _is_number(claims.get("exp")):
+        kind = "numeric exp" if "exp" in claims else "exp"
+        return judged(True, f"issued token carries no {kind} claim (unbounded lifetime)")
+    if not _is_number(claims.get("iat")):
+        kind = "numeric iat" if "iat" in claims else "iat"
+        return judged(True, f"issued token carries exp but no {kind}; lifetime cannot be "
+                      "bounded at issue time")
     lifetime = int(claims["exp"]) - int(claims["iat"])
     if lifetime > LIFETIME_THRESHOLD_S:
-        return fold("JWT-01", [judged(
-            True, f"issued token lifetime exp-iat = {lifetime} s exceeds threshold: "
-            f"{lifetime} > {LIFETIME_THRESHOLD_S}")])
-    return fold("JWT-01", [judged(
-        False, f"issued token lifetime exp-iat = {lifetime} s within threshold "
-        f"{LIFETIME_THRESHOLD_S} s")])
+        return judged(True, f"issued token lifetime exp-iat = {lifetime} s exceeds "
+                      f"threshold: {lifetime} > {LIFETIME_THRESHOLD_S}")
+    return judged(False, f"issued token lifetime exp-iat = {lifetime} s within "
+                  f"threshold {LIFETIME_THRESHOLD_S} s")
 
 
-def _check_expired(
-    manifest: TargetManifest,
-    services: list[ComponentSpec],
-    notes: list[Outcome],
-    http: HttpClient,
-    mint: MintFn,
-) -> CheckResult:
-    if not services:
-        return fold("JWT-02", notes + [unassessable(_NO_ENFORCING)])
+def _expired(
+    manifest: TargetManifest, services: list[ComponentSpec], http: HttpClient, mint: MintFn
+) -> list[Outcome]:
     if not manifest.audit_fixture:
-        return fold("JWT-02", notes + [unassessable(
+        return [unassessable(
             "a validly signed expired token cannot be obtained without issuer "
             "cooperation; declare audit_fixture mode or wait out a real token "
             "lifetime to assess expiry enforcement"
-        )])
-    outcomes = list(notes)
+        )]
+    outcomes = []
     for comp in services:
         # Issuer fixture parameters yield a validly signed, already expired
         # token; forging expiry would also break the signature and prove
@@ -472,16 +491,15 @@ def _check_expired(
             lambda: mint(scope=comp.read.scope, audience=comp.audience,
                          lifetime_s=60, iat_offset_s=-3600),
         )
-    return fold("JWT-02", outcomes)
+    return outcomes
 
 
-def _check_algorithm(live_token: SignedToken) -> CheckResult:
-    alg = live_token.header.get("alg")
-    outside = alg not in ALLOWED_ALGS
+def _algorithm(token: SignedToken) -> Outcome:
+    alg = token.header.get("alg")
+    outside = not isinstance(alg, str) or alg not in ALLOWED_ALGS
     allowed = ", ".join(sorted(ALLOWED_ALGS))
     word = "outside allowed set" if outside else "allowed set"
-    return fold("JWT-03", [judged(
-        outside, f"issued token header alg = {alg}; {word}: {allowed}")])
+    return judged(outside, f"issued token header alg = {alg}; {word}: {allowed}")
 
 
 def _check_key_exposure(
@@ -526,53 +544,39 @@ def _check_key_exposure(
     return fold("JWT-04", outcomes)
 
 
-def _check_forgeries(
-    check_id: str,
-    services: list[ComponentSpec],
-    notes: list[Outcome],
-    mint: MintFn,
-    http: HttpClient,
-    mutations: list[Mutation],
-    pass_line: str,
-) -> CheckResult:
-    outcomes = list(notes)
-    if not services:
-        outcomes.append(unassessable(_NO_ENFORCING))
+def _forgeries(
+    services: list[ComponentSpec], mint: MintFn, http: HttpClient, mutations: list[Mutation]
+) -> list[Outcome]:
+    outcomes = []
     for comp in services:
         for mutation in mutations:
             outcomes += _presented(
                 http, comp, comp.read, mutation.name,
                 lambda: forge(_baseline(mint, comp), mutation),
             )
-    return fold(check_id, outcomes, pass_line)
+    return outcomes
 
 
-def _check_confusion(
+def _confusion(
     manifest: TargetManifest,
     services: list[ComponentSpec],
-    notes: list[Outcome],
     mint: MintFn,
     http: HttpClient,
-    keys: Optional[dict],
-    unreadable: list[Outcome],
-) -> CheckResult:
-    if not services:
-        return fold("JWT-07", notes + [unassessable(_NO_ENFORCING)])
+    jwks: Callable[[], tuple[Optional[dict], list[Outcome]]],
+) -> list[Outcome]:
+    keys, unreadable = jwks()
     if unreadable:
-        return fold("JWT-07", notes + unreadable)
+        return unreadable
     rsa_keys = [e for e in (keys or {}).get("keys", []) if e.get("kty") == "RSA"]
     if not rsa_keys:
-        return fold("JWT-07", notes + [unassessable(
-            "no published RSA key; confusion forgery cannot be constructed")])
+        return [unassessable(
+            "no published RSA key; confusion forgery cannot be constructed")]
     try:
         public_pem = jwk_to_public_pem(rsa_keys[0])
     except TokenError:
-        return fold("JWT-07", notes + [unassessable(
-            f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e")])
-    return _check_forgeries(
-        "JWT-07", services, notes, mint, http, [AlgConfusionHs256(public_pem)],
-        "HMAC-with-public-key forgery rejected everywhere",
-    )
+        return [unassessable(
+            f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e")]
+    return _forgeries(services, mint, http, [AlgConfusionHs256(public_pem)])
 
 
 def _check_scope(
@@ -604,13 +608,12 @@ def _check_scope(
     return fold("JWT-08", outcomes, "write actions demand their declared scope")
 
 
-def _check_audience(
+def _audience(
     services: list[ComponentSpec],
     enforcing: list[ComponentSpec],
-    notes: list[Outcome],
     http: HttpClient,
     mint: MintFn,
-) -> CheckResult:
+) -> list[Outcome]:
     # Audience candidates come from every declared service; presentation is
     # limited to services that demand a token in the first place.
     audiences = []
@@ -618,12 +621,10 @@ def _check_audience(
         if comp.audience not in audiences:
             audiences.append(comp.audience)
     if len(audiences) < 2:
-        return fold("JWT-09", notes + [unassessable(
+        return [unassessable(
             "fewer than two token audiences declared; cross-audience replay "
-            "cannot be constructed")])
-    if not enforcing:
-        return fold("JWT-09", notes + [unassessable(_NO_ENFORCING)])
-    outcomes = list(notes)
+            "cannot be constructed")]
+    outcomes = []
     for comp in enforcing:
         foreign = next(a for a in audiences if a != comp.audience)
         # Correct scope for the target, wrong audience: only the audience
@@ -632,7 +633,7 @@ def _check_audience(
             http, comp, comp.read, f"audience={foreign}",
             lambda: mint(scope=comp.read.scope, audience=foreign),
         )
-    return fold("JWT-09", outcomes, "tokens are rejected outside their minted audience")
+    return outcomes
 
 
 _COOKIE_REQUIRED_FLAGS = ("secure", "httponly", "samesite=strict")

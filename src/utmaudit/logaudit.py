@@ -9,15 +9,15 @@ record therefore breaks exactly at its own position.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Callable, Collection, Optional
 
 from .manifest import ComponentRole, TargetManifest, vantage
 from .results import (
-    CheckResult, CheckStatus, Outcome, attempt, fold, judged, note, run_checks,
-    unassessable, uniform,
+    CheckResult, Outcome, attempt, fold, judged, note, run_checks, unassessable,
 )
 from .wire import HttpClient, WireError
 
@@ -122,48 +122,61 @@ def check_logs(
     wanted: Collection[str],
 ) -> list[CheckResult]:
     """The wanted checks of LOG-01..LOG-04 against the declared log
-    repository."""
+    repository. The record listing is fetched once, by the first check that
+    reads it: LOG-01 and LOG-03 judge it, and LOG-04 needs its read answered."""
     repo = manifest.by_role(ComponentRole.LOG_REPOSITORY)[0]
-    if not repo.read:
-        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
-                       f"{repo.id}: no read action declared")
-
     source = vantage(repo, http.allowlisted_source)
-    read_url = repo.primary_endpoint().url(repo.read.path)
+    listing = functools.cache(lambda: _fetch_listing(repo, mint, http, source))
 
-    try:
-        read_token = mint(scope=repo.read.scope, audience=repo.audience)
-        auth = {"Authorization": f"Bearer {read_token.compact()}"}
-        resp = http.request("GET", read_url, headers=auth, source=source)
-    except WireError as exc:
-        return uniform(wanted, CheckStatus.NOT_ASSESSABLE, f"{repo.id}: {exc}")
-    if resp.status != 200:
-        return uniform(wanted, CheckStatus.NOT_ASSESSABLE,
-                       f"{repo.id}: record listing returned HTTP {resp.status}")
-    listing = resp.json_object()
-    records = listing.get("records", []) if listing is not None else None
-    chain = chain_from_wire(records) if isinstance(records, list) else None
+    def snapshot(check_id: str, judge: Callable[[LogChain], CheckResult]) -> CheckResult:
+        chain, unfetched = listing()
+        if chain is not None:
+            return judge(chain)
+        return fold(check_id, unfetched or [unassessable(
+            f"{repo.id}: record listing is not a JSON object with a records list")])
 
     # Read-only verdicts come from the fetched snapshot before any
     # write-probing can disturb repository state.
     return run_checks(wanted, [
-        ("LOG-01", lambda: _check_granularity(manifest, repo, chain)),
-        ("LOG-03", lambda: _check_chain(repo, chain, mint, http, source)),
+        ("LOG-01", lambda: snapshot(
+            "LOG-01", lambda chain: _check_granularity(manifest, repo, chain))),
+        ("LOG-03", lambda: snapshot(
+            "LOG-03", lambda chain: _check_chain(repo, chain, mint, http, source))),
         ("LOG-02", lambda: _check_worm(repo, mint, http, source)),
-        ("LOG-04", lambda: _check_access(repo, read_url, auth, http, source)),
+        ("LOG-04", lambda: _check_access(repo, listing()[1], mint, http, source)),
     ])
 
 
-def _unreadable_listing(check_id: str, repo) -> CheckResult:
-    return fold(check_id, [unassessable(
-        f"{repo.id}: record listing is not a JSON object with a records list")])
+def _fetch_listing(
+    repo, mint, http: HttpClient, source: Optional[str]
+) -> tuple[Optional[LogChain], list[Outcome]]:
+    """The repository's records as a chain (None when the listing is not a
+    JSON object with a records list), and the NotAssessable line of an
+    authorized read that did not answer 200."""
+    if not repo.read:
+        return None, [unassessable(f"{repo.id}: no read action declared")]
+    chain: Optional[LogChain] = None
+
+    def fetch() -> list[Outcome]:
+        nonlocal chain
+        read_token = mint(scope=repo.read.scope, audience=repo.audience)
+        auth = {"Authorization": f"Bearer {read_token.compact()}"}
+        resp = http.request("GET", repo.primary_endpoint().url(repo.read.path),
+                            headers=auth, source=source)
+        if resp.status != 200:
+            return [unassessable(f"{repo.id}: record listing returned HTTP {resp.status}")]
+        listing = resp.json_object()
+        records = listing.get("records", []) if listing is not None else None
+        chain = chain_from_wire(records) if isinstance(records, list) else None
+        return []
+
+    unfetched = attempt(repo.id, fetch)
+    return chain, unfetched
 
 
 def _check_granularity(
-    manifest: TargetManifest, repo, chain: Optional[LogChain]
+    manifest: TargetManifest, repo, chain: LogChain
 ) -> CheckResult:
-    if chain is None:
-        return _unreadable_listing("LOG-01", repo)
     records = chain.records[-SAMPLE_SIZE:]
     if not records:
         return fold("LOG-01", [unassessable(
@@ -183,10 +196,8 @@ def _check_granularity(
 
 
 def _check_chain(
-    repo, chain: Optional[LogChain], mint, http: HttpClient, source: Optional[str]
+    repo, chain: LogChain, mint, http: HttpClient, source: Optional[str]
 ) -> CheckResult:
-    if chain is None:
-        return _unreadable_listing("LOG-03", repo)
     report = verify_chain(chain)
     if not report.ok:
         return fold("LOG-03", [judged(
@@ -246,12 +257,12 @@ def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckRes
             return [unassessable(f"sacrificial append rejected (HTTP {resp.status}); "
                                  "mutation probing has no safe target")]
         appended = resp.json_object()
-        if appended is None:
-            return [unassessable(
-                "sacrificial append answered with a body that is not a JSON object; "
-                "the record to mutate is unknown")]
+        seq = appended.get("seq") if appended is not None else None
+        if not isinstance(seq, int) or isinstance(seq, bool):
+            return [unassessable("sacrificial append answered without an integer seq; "
+                                 "the record to mutate is unknown")]
         outcomes = [note("sacrificial record appended for mutation probing")]
-        record_url = repo.primary_endpoint().url(f"{repo.write.path}/{appended.get('seq')}")
+        record_url = repo.primary_endpoint().url(f"{repo.write.path}/{seq}")
         for method, label in (("PUT", "overwrite"), ("DELETE", "delete")):
             outcomes += attempt(f"{label} attempt failed at transport level",
                                 lambda: mutate(record_url, method, label, auth))
@@ -260,9 +271,14 @@ def _check_worm(repo, mint, http: HttpClient, source: Optional[str]) -> CheckRes
     return fold("LOG-02", attempt(repo.id, append_then_mutate))
 
 
-def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
+def _check_access(repo, unfetched: list[Outcome], mint, http: HttpClient,
                   source: Optional[str]) -> CheckResult:
-    # A read refused at transport level is refused access, so it passes.
+    # The authorized listing read from the same vantage is the control: a
+    # repository that did not answer it cannot be said to refuse the reads
+    # below. Past it, a read refused at transport level is refused access.
+    if unfetched:
+        return fold("LOG-04", unfetched)
+    read_url = repo.primary_endpoint().url(repo.read.path)
     outcomes = []
     try:
         resp = http.request("GET", read_url, source=source)
@@ -279,6 +295,9 @@ def _check_access(repo, read_url: str, auth: dict, http: HttpClient,
     if source is None:
         outcomes.append(note("external-vantage separation not assessable from this host"))
     else:
+        # the listing's token: the mint issues it once
+        read_token = mint(scope=repo.read.scope, audience=repo.audience)
+        auth = {"Authorization": f"Bearer {read_token.compact()}"}
         try:
             resp = http.request("GET", read_url, headers=auth)
             if resp.status == 200:

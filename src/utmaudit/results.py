@@ -1,7 +1,9 @@
 """Shared result model: check outcomes, findings, severity scale.
 
 Kept separate from the engine so probe modules can produce results without
-importing the scheduler.
+importing the scheduler. There is no area-wide verdict: each check folds its
+own outcomes, so a failed probe or an unreadable shared input costs only the
+checks that read it.
 """
 
 from __future__ import annotations
@@ -106,11 +108,6 @@ def fold(check_id: str, outcomes: Iterable[Outcome],
     if pass_line:
         evidence.append(pass_line)
     return CheckResult(check_id, CheckStatus.PASS, evidence)
-
-
-def uniform(check_ids: Iterable[str], status: CheckStatus, line: str) -> list[CheckResult]:
-    """The same one-line verdict for every id, for area-wide preconditions."""
-    return [CheckResult(check_id, status, [line]) for check_id in check_ids]
 
 
 def aborted(exc: Exception) -> str:

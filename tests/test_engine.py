@@ -239,6 +239,7 @@ def test_unreachable_target_reports_conditional_skips_and_no_false_passes():
             f"\n[component logs]\n"
             f"role = LogRepository\n"
             f"endpoints = https://127.0.0.1:{closed_port()}\n"
+            f"read = GET /records scope=logs.read\n"
             f"\n[component db]\n"
             f"role = DbNode\n"
             f"endpoints = tcp://127.0.0.1:{closed_port()}\n"
@@ -284,6 +285,84 @@ def test_a_refused_token_costs_only_the_probes_that_need_it(
         assert not any("probe aborted" in line for line in result.evidence)
         if expected.check_id not in ("LOG-02", "LOG-03"):
             assert result.status is expected.status, expected.check_id
+
+
+class _AnchorTokenUnavailable(HttpClient):
+    """The token endpoint answers 503 to every request for the gateway's
+    utm.read token, which JWT-01 and JWT-03 judge."""
+
+    def request(self, method, url, **kwargs):
+        form = kwargs.get("form") or {}
+        if form.get("scope") == "utm.read" and form.get("audience") == "gateway":
+            return HttpResponse(503, [], b'{"error": "temporarily_unavailable"}')
+        return super().request(method, url, **kwargs)
+
+
+def test_a_refused_anchor_token_costs_only_the_checks_that_read_it(
+    secure_testbed, secure_audit, monkeypatch,
+):
+    monkeypatch.setattr(engine, "HttpClient", _AnchorTokenUnavailable)
+    results = {r.check_id: r for r in run_audit(secure_testbed.manifest).results}
+    for check_id in ("JWT-01", "JWT-03"):
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == [
+            "authorization server did not issue a probe token: oauth-server token "
+            "endpoint: HTTP 503 (error=temporarily_unavailable)"
+        ]
+    secure, _ = secure_audit
+    expected = {r.check_id: r for r in secure.results}
+    for check_id in ("JWT-04", "JWT-10"):
+        assert results[check_id].status is CheckStatus.PASS
+        assert results[check_id].evidence == expected[check_id].evidence
+    for result in results.values():
+        assert not any("probe aborted" in line for line in result.evidence)
+
+
+class _LogReadTokensUnavailable(HttpClient):
+    """The token endpoint answers 503 to every request for logs.read."""
+
+    def request(self, method, url, **kwargs):
+        if (kwargs.get("form") or {}).get("scope") == "logs.read":
+            return HttpResponse(503, [], b'{"error": "temporarily_unavailable"}')
+        return super().request(method, url, **kwargs)
+
+
+def test_a_refused_read_token_is_never_read_as_refused_access(
+    secure_testbed, secure_audit, monkeypatch,
+):
+    monkeypatch.setattr(engine, "HttpClient", _LogReadTokensUnavailable)
+    selection = {"LOG-01", "LOG-02", "LOG-03", "LOG-04"}
+    results = {r.check_id: r for r in run_audit(secure_testbed.manifest, selection).results}
+    refused = "oauth-server token endpoint: HTTP 503 (error=temporarily_unavailable)"
+    # without the listing read as its control, LOG-04 cannot judge a refusal
+    for check_id in ("LOG-01", "LOG-03", "LOG-04"):
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == [f"log-repo: {refused}"]
+    secure, _ = secure_audit
+    assert results["LOG-02"].status is CheckStatus.PASS
+    assert results["LOG-02"].evidence == next(
+        r.evidence for r in secure.results if r.check_id == "LOG-02")
+
+
+@pytest.mark.parametrize("selection, requests", [
+    ({"JWT-01"}, 1),  # the anchor token
+    ({"JWT-10"}, 2),  # the two web applications' pages
+    ({"LOG-02"}, 4),  # the write token, the append, its overwrite and delete
+])
+def test_a_selection_sends_only_the_requests_its_checks_need(
+    secure_testbed, monkeypatch, selection, requests,
+):
+    sent = []
+
+    class Counting(HttpClient):
+        def request(self, method, url, **kwargs):
+            sent.append(f"{method} {url}")
+            return super().request(method, url, **kwargs)
+
+    monkeypatch.setattr(engine, "HttpClient", Counting)
+    report = run_audit(secure_testbed.manifest, selection)
+    assert [r.status for r in report.results] == [CheckStatus.PASS]
+    assert len(sent) == requests, sent
 
 
 def test_report_dict_round_trip(secure_audit):

@@ -22,13 +22,9 @@ def _client(manifest, cls=HttpClient, **extra) -> HttpClient:
     )
 
 
-def _battery(manifest, http, wanted, keys=None):
-    mint = make_mint(manifest, http)
-    anchor = jwtkit.token_services(manifest)[0]
-    live = mint(scope=anchor.read.scope, audience=anchor.audience)
-    assert live is not None
+def _battery(manifest, http, wanted):
     results = jwtkit.run_jwt_battery(
-        manifest, live, keys, http=http, mint=mint, wanted=wanted
+        manifest, http=http, mint=make_mint(manifest, http), wanted=wanted
     )
     return {r.check_id: r for r in results}
 
@@ -64,27 +60,6 @@ def test_transport_error_on_one_service_keeps_a_fail_elsewhere(close_after):
                for line in result.evidence), result.evidence
 
 
-def test_malformed_jwks_costs_only_the_confusion_check(
-    secure_testbed, secure_audit, close_after,
-):
-    report, _ = secure_audit
-    expected = {r.check_id: r for r in report.results if r.check_id.startswith("JWT-")}
-    manifest = secure_testbed.manifest
-    results = _battery(
-        manifest, close_after(_client(manifest)), JWT_IDS,
-        keys={"keys": [{"kty": "RSA", "n": "!!", "e": "AQAB"}]},
-    )
-    assert list(results) == JWT_IDS
-    assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
-    assert results["JWT-07"].evidence == [
-        f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e"
-    ]
-    for check_id, result in results.items():
-        if check_id != "JWT-07":
-            assert result.status is expected[check_id].status, check_id
-            assert result.evidence == expected[check_id].evidence, check_id
-
-
 class _AnonymousReadsAllowed(HttpClient):
     """Answers 200 to every request without an Authorization header, as if
     every declared service admitted anonymous callers."""
@@ -100,11 +75,9 @@ def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
 ):
     manifest = secure_testbed.manifest
     mint = make_mint(manifest, close_after(_client(manifest)))
-    anchor = jwtkit.token_services(manifest)[0]
-    live = mint(scope=anchor.read.scope, audience=anchor.audience)
     ids = ["JWT-02", "JWT-05", "JWT-06", "JWT-07", "JWT-09"]
     results = jwtkit.run_jwt_battery(
-        manifest, live, http=close_after(_client(manifest, _AnonymousReadsAllowed)),
+        manifest, http=close_after(_client(manifest, _AnonymousReadsAllowed)),
         mint=mint, wanted=ids,
     )
     services = jwtkit.token_services(manifest)
@@ -128,6 +101,7 @@ class _JwksUnreadable(HttpClient):
         "keys-string": b'{"keys": "dpq"}',
         "rsa-without-n": b'{"keys": [{"kty": "RSA"}]}',
         "rsa-n-not-text": b'{"keys": [{"kty": "RSA", "n": 5, "e": "AQAB"}]}',
+        "rsa-n-not-base64url": b'{"keys": [{"kty": "RSA", "n": "!!", "e": "AQAB"}]}',
     }
 
     def __init__(self, *args, jwks_url, fault, **kwargs):
@@ -178,3 +152,25 @@ def test_rsa_jwk_without_usable_n_e_leaves_jwt07_not_assessable(
     assert results["JWT-04"].status is CheckStatus.PASS
     assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
     assert results["JWT-07"].evidence == [f"{server.id} JWKS: RSA key without usable n/e"]
+
+
+def test_malformed_jwks_costs_only_the_confusion_check(
+    secure_testbed, secure_audit, close_after,
+):
+    report, _ = secure_audit
+    expected = {r.check_id: r for r in report.results if r.check_id.startswith("JWT-")}
+    manifest = secure_testbed.manifest
+    server = manifest.oauth_server()
+    url = server.primary_endpoint().url(server.jwks_path)
+    http = close_after(_client(manifest, _JwksUnreadable, jwks_url=url,
+                               fault="rsa-n-not-base64url"))
+    results = _battery(manifest, http, JWT_IDS)
+    assert list(results) == JWT_IDS
+    assert results["JWT-07"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["JWT-07"].evidence == [
+        f"{manifest.oauth_server().id} JWKS: RSA key without usable n/e"
+    ]
+    for check_id, result in results.items():
+        if check_id != "JWT-07":
+            assert result.status is expected[check_id].status, check_id
+            assert result.evidence == expected[check_id].evidence, check_id

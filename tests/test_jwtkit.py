@@ -4,6 +4,7 @@ The confusion-forgery signature is checked against the independent HMAC
 implementation from tests/oracles, never against the code that produced it.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utmaudit.jwtkit import (
+    ALLOWED_ALGS,
     AddScope,
     AlgConfusionHs256,
     FlipSignatureBit,
@@ -25,7 +27,11 @@ from utmaudit.jwtkit import (
     decode,
     jwk_to_public_pem,
     jwks_private_fields,
+    run_jwt_battery,
 )
+from utmaudit.manifest import parse_manifest
+from utmaudit.results import CheckStatus
+from utmaudit.wire import HttpClient
 
 from .oracles.pure_hash import hmac_sha256
 from .oracles.token_signing import (
@@ -288,3 +294,83 @@ def test_jwks_private_field_detection(rsa_key):
     assert jwks_private_fields(clean) == []
     leaky = {"keys": [{**_jwk_entry(rsa_key), "d": "AQAB", "p": "AQAB"}]}
     assert jwks_private_fields(leaky) == ["d", "p"]
+
+
+# ---------------------------------------------------------------------------
+# JWT-01 and JWT-03 on the issued token's own claims
+# ---------------------------------------------------------------------------
+
+# JWT-01 and JWT-03 read only the token that the mint issues, so they run
+# against a declared but unreachable deployment.
+_OFFLINE = parse_manifest(b"""\
+[target]
+mode = remote
+
+[client]
+client_id = auditor
+client_secret = 0123456789abcdef0123456789abcdef
+
+[component auth]
+role = OAuthServer
+endpoints = https://127.0.0.1:1
+
+[component gw]
+role = HttpsGateway
+endpoints = https://127.0.0.1:1
+audience = gw
+read = GET /isa scope=utm.read
+""")
+
+
+def _judged_on(token, check_id):
+    with contextlib.closing(HttpClient(timeout_s=1.0)) as http:
+        [result] = run_jwt_battery(
+            _OFFLINE, http=http, mint=lambda **_: token, wanted=[check_id]
+        )
+    return result
+
+
+def _none_alg(claims):
+    return make_token({"alg": "none"}, claims, None)
+
+
+@pytest.mark.parametrize("value", ["soon", None, True, False, float("inf"), [0]])
+def test_an_exp_or_iat_that_is_not_a_number_bounds_no_lifetime(value):
+    bad_exp = _judged_on(_none_alg({"exp": value, "iat": 0}), "JWT-01")
+    assert bad_exp.status is CheckStatus.FAIL
+    assert bad_exp.evidence == [
+        "issued token carries no numeric exp claim (unbounded lifetime)"
+    ]
+    bad_iat = _judged_on(_none_alg({"exp": 300, "iat": value}), "JWT-01")
+    assert bad_iat.status is CheckStatus.FAIL
+    assert bad_iat.evidence == [
+        "issued token carries exp but no numeric iat; lifetime cannot be bounded at "
+        "issue time"
+    ]
+
+
+@pytest.mark.parametrize("claims, line", [
+    ({"iat": 0}, "issued token carries no exp claim (unbounded lifetime)"),
+    ({"exp": 300}, "issued token carries exp but no iat; lifetime cannot be bounded "
+                   "at issue time"),
+], ids=["no-exp", "no-iat"])
+def test_a_missing_exp_or_iat_fails_jwt01(claims, line):
+    result = _judged_on(_none_alg(claims), "JWT-01")
+    assert result.status is CheckStatus.FAIL
+    assert result.evidence == [line]
+
+
+def test_a_float_lifetime_within_threshold_passes_jwt01():
+    result = _judged_on(_none_alg({"exp": 300.5, "iat": 0}), "JWT-01")
+    assert result.status is CheckStatus.PASS
+    assert result.evidence == ["issued token lifetime exp-iat = 300 s within threshold 900 s"]
+
+
+@pytest.mark.parametrize("alg", [["RS256"], {"RS256": True}, None, 256])
+def test_an_alg_that_is_not_a_string_is_outside_the_allowed_set(alg):
+    result = _judged_on(_none_alg({"exp": 300, "iat": 0}).with_header(alg=alg), "JWT-03")
+    allowed = ", ".join(sorted(ALLOWED_ALGS))
+    assert result.status is CheckStatus.FAIL
+    assert result.evidence == [
+        f"issued token header alg = {alg}; outside allowed set: {allowed}"
+    ]

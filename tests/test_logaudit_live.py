@@ -9,7 +9,7 @@ from utmaudit.logaudit import check_logs
 from utmaudit.manifest import parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.testbed import httpbase
-from utmaudit.wire import HttpClient
+from utmaudit.wire import HttpClient, WireError
 
 from .oracles.token_signing import make_token
 
@@ -17,10 +17,11 @@ LOG_IDS = ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
 
 
 class _StubRepo(BaseHTTPRequestHandler):
-    """Authenticated reads get `listing`, appends get `append`; overwrites,
-    deletes and anonymous reads are refused."""
+    """Authenticated reads get `listing` with `listing_status`, appends get
+    `append`; overwrites, deletes and anonymous reads are refused."""
 
     listing = b'{"records": []}'
+    listing_status = 200
     append = b'{"seq": 1}'
 
     def log_message(self, *args):
@@ -35,7 +36,7 @@ class _StubRepo(BaseHTTPRequestHandler):
 
     def do_GET(self):
         if self.headers.get("Authorization"):
-            self._reply(200, self.listing)
+            self._reply(self.listing_status, self.listing)
         else:
             self._reply(401)
 
@@ -88,8 +89,17 @@ def _mint(**_):
     return make_token({"alg": "none"}, {"sub": "auditor"}, None)
 
 
-def _check_logs(manifest):
-    with contextlib.closing(HttpClient(timeout_s=2.0)) as http:
+class _ReadsDown(HttpClient):
+    """Every read fails at transport level, authorized or not."""
+
+    def request(self, method, url, **kwargs):
+        if method == "GET":
+            raise WireError(f"{method} {url}: timed out")
+        return super().request(method, url, **kwargs)
+
+
+def _check_logs(manifest, client=HttpClient):
+    with contextlib.closing(client(timeout_s=2.0)) as http:
         results = check_logs(manifest, _mint, http, LOG_IDS)
     return {r.check_id: r for r in results}
 
@@ -106,8 +116,38 @@ def test_unreadable_listing_costs_only_the_snapshot_checks(stub_repo, listing):
     assert results["LOG-04"].status is CheckStatus.PASS
 
 
+@pytest.mark.parametrize("fault", ["503", "transport"])
+def test_a_listing_that_cannot_be_fetched_costs_the_checks_that_read_it(stub_repo, fault):
+    # LOG-04's refusals mean nothing unless the listing read, its control,
+    # was answered: a repository that is down refuses every read.
+    if fault == "503":
+        manifest = stub_repo(listing_status=503)
+        results = _check_logs(manifest)
+        line = "logs: record listing returned HTTP 503"
+    else:
+        manifest = stub_repo()
+        results = _check_logs(manifest, _ReadsDown)
+        line = "logs: GET {url}: timed out"
+    url = manifest.component("logs").primary_endpoint().url("/records")
+    for check_id in ("LOG-01", "LOG-03", "LOG-04"):
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == [line.format(url=url)]
+    assert results["LOG-02"].status is CheckStatus.PASS
+    assert results["LOG-02"].evidence == [
+        "sacrificial record appended for mutation probing",
+        "overwrite attempt rejected: HTTP 403",
+        "delete attempt rejected: HTTP 403",
+    ]
+
+
 def test_append_answer_without_json_object_is_not_assessable(stub_repo):
-    results = _check_logs(stub_repo(append=b"[]"))
-    assert results["LOG-02"].status is CheckStatus.NOT_ASSESSABLE
-    assert results["LOG-02"].evidence
-    assert results["LOG-04"].status is CheckStatus.PASS
+    # Without an integer seq, the overwrite and delete would go to a guessed
+    # record URL, so their rejection proves nothing.
+    for append in (b"[]", b"{}", b'{"seq": "../1"}', b'{"seq": true}'):
+        results = _check_logs(stub_repo(append=append))
+        assert results["LOG-02"].status is CheckStatus.NOT_ASSESSABLE, append
+        assert results["LOG-02"].evidence == [
+            "sacrificial append answered without an integer seq; the record to "
+            "mutate is unknown"
+        ], append
+        assert results["LOG-04"].status is CheckStatus.PASS, append

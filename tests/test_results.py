@@ -92,8 +92,6 @@ _TRANSPORT_HANDLERS = {
     ("logaudit.py", "_check_access"),  # LOG-04: a refused read is refused access
     ("jwtkit.py", "_rejects_anonymous"),  # unsent pre-check keeps the service in
     ("sqliprobe.py", "fetch"),  # DB-02 counts dropped payloads into one line
-    ("logaudit.py", "check_logs"),  # no record listing, no LOG check
-    ("engine.py", "_run_jwt_area"),  # no anchor token, no JWT check
     ("netprobe.py", "_connect_and_read"),  # NET: refused, timed out or silent
     ("netprobe.py", "run"),  # NET: an allowlisted source the host cannot bind
     ("netprobe.py", "_client_hello"),  # NET: the ClientHello written in memory

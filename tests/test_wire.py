@@ -312,7 +312,9 @@ def test_an_allowlisted_source_the_host_cannot_bind_is_not_assessable(secure_tes
     unbound = "cannot bind source address 192.0.2.77"
     assert ("allowlisted-source verification not assessable from this vantage"
             in results["NET-01"].evidence)
-    for check_id in ("DB-01", "LOG-01"):  # a TLS posture probe, an HTTP probe
+    # a TLS posture probe, an HTTP probe, and a read whose transport refusal
+    # would count as refused access
+    for check_id in ("DB-01", "LOG-01", "LOG-04"):
         assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
         assert any(unbound in line for line in results[check_id].evidence), check_id
     # each probe names what it sent, so two probes that fail alike still
