@@ -166,7 +166,7 @@ def _fetch_listing(
         if resp.status != 200:
             return [unassessable(f"{repo.id}: record listing returned HTTP {resp.status}")]
         listing = resp.json_object()
-        records = listing.get("records", []) if listing is not None else None
+        records = listing.get("records") if listing is not None else None
         chain = chain_from_wire(records) if isinstance(records, list) else None
         return []
 
@@ -203,7 +203,11 @@ def _check_chain(
         return fold("LOG-03", [judged(
             True, f"hash chain break: stored link at seq {report.first_broken_seq} "
             "does not recompute from its predecessor", repo.id)])
-    outcomes = [judged(False, "hash chain verifies from genesis to head: all links valid")]
+    if chain.records:
+        outcomes = [judged(False, "hash chain verifies from genesis to head: all links valid")]
+    else:
+        outcomes = [unassessable(
+            f"{repo.id}: repository holds no records; no hash link to verify")]
 
     # A repository that lets writers dictate links invites silent rewrites.
     def forged_append() -> list[Outcome]:

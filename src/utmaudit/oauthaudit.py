@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import string
+import urllib.parse
 from dataclasses import dataclass, field
 from typing import Collection, Optional
 
@@ -232,34 +233,52 @@ def _authorize_url(server: ComponentSpec, **params) -> str:
     return server.primary_endpoint().url(f"{server.authorize_path or '/authorize'}?{query}")
 
 
-def _redirect_grants(resp) -> Optional[str]:
-    """The artifact granted on a 3xx redirect, if any."""
-    if 300 <= resp.status < 400:
-        location = resp.header("Location") or ""
-        if "access_token=" in location:
-            return "token"
-        if "code=" in location:
-            return "code"
-    return None
+def _redirect_params(resp) -> dict[str, list[str]]:
+    """The parameters in the query and fragment of a 3xx answer's Location,
+    where an authorization endpoint grants or refuses (RFC 6749 §4.1.2,
+    §4.2.2); none for any other answer."""
+    if not 300 <= resp.status < 400:
+        return {}
+    location = urllib.parse.urlsplit(resp.header("Location") or "")
+    return {**urllib.parse.parse_qs(location.query, keep_blank_values=True),
+            **urllib.parse.parse_qs(location.fragment, keep_blank_values=True)}
+
+
+# The redirect parameter that carries each artifact of an authorization flow.
+_GRANT_PARAMS = {"token": "access_token", "code": "code"}
 
 
 def _issuance(server, req: TokenRequest, http, issued: str, refused: str) -> list[Outcome]:
-    """One token request that a secure server refuses: a token issued fails
-    the check with the issued line."""
+    """One token request that a secure server refuses with a 4xx: a token
+    issued fails the check with the issued line, and any other answer (a
+    5xx, a 2xx without a parseable token) is no refusal."""
     result = request_token(server, req, http)
     detail = f" (error={result.error})" if result.error else ""
-    line = issued if result.ok else f"{refused} rejected: HTTP {result.status}{detail}"
-    return [judged(result.ok, line, server.id)]
+    if result.ok:
+        return [judged(True, issued, server.id)]
+    if 400 <= result.status < 500:
+        return [judged(False, f"{refused} rejected: HTTP {result.status}{detail}")]
+    return [unassessable(
+        f"{refused} answered HTTP {result.status}{detail}: neither a refusal nor a token")]
 
 
 def _authorization(server, http, params: dict, artifact: str, granted: str,
                    refused: str) -> list[Outcome]:
-    """One authorization request that a secure server refuses: a redirect
-    granting the artifact fails the check with the granted line."""
+    """One authorization request that a secure server refuses with a 4xx, or
+    with a redirect that carries an error: a redirect granting the artifact
+    fails the check with the granted line, and any other answer is no
+    refusal."""
     resp = http.request("GET", _authorize_url(server, **params))
-    completed = _redirect_grants(resp) == artifact
-    line = granted if completed else f"{refused} rejected: HTTP {resp.status}"
-    return [judged(completed, line, server.id)]
+    redirect = _redirect_params(resp)
+    if _GRANT_PARAMS[artifact] in redirect:
+        return [judged(True, granted, server.id)]
+    if 400 <= resp.status < 500:
+        return [judged(False, f"{refused} rejected: HTTP {resp.status}")]
+    if "error" in redirect:
+        return [judged(False, f"{refused} rejected: HTTP {resp.status} "
+                       f"(error={redirect['error'][0]})")]
+    return [unassessable(
+        f"{refused} answered HTTP {resp.status}: neither a refusal nor a {artifact}")]
 
 
 def _check_sender_constraining(server, client, http) -> CheckResult:

@@ -64,7 +64,9 @@ class _HandshakeRejected(Exception):
 @dataclass(frozen=True)
 class ClientContexts:
     """The three client contexts of a posture probe, one per handshake.
-    Built once per sweep: each build reads the CA and key files."""
+    Built once per sweep: each build reads the CA, certificate and key files
+    again, and `client_context` builds a context anew only when their bytes
+    changed."""
 
     identified: ssl.SSLContext
     anonymous: ssl.SSLContext
@@ -257,8 +259,9 @@ def check_db_transport(
     client = manifest.oauth_client
     cert, key = (client.certificate, client.key) if client.has_certificate() else (None, None)
     # Built on first use, inside the attempt, so a CA or key file that
-    # cannot be read gives every endpoint its NotAssessable line. Not cached
-    # past this sweep: the next scan reads the files again.
+    # cannot be read gives every endpoint its NotAssessable line. The next
+    # sweep reads the files again; their contexts are rebuilt only when the
+    # bytes changed.
     contexts = functools.cache(lambda: ClientContexts.build(manifest.ca_path, cert, key))
     outcomes = []
     for comp in manifest.by_role(ComponentRole.DB_NODE):

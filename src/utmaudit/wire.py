@@ -1,9 +1,12 @@
 """The one dialer of every probe, and HTTP/TLS transport for probes.
 
 `dial` opens every TCP connection and `client_context` builds every TLS client
-context that `HttpClient`, `netprobe` and `tlsaudit` use. A vantage is the
-source address that `manifest.vantage` picks: an allowlisted address, or None
-for the host's default (the scanner's external vantage).
+context that `HttpClient`, `netprobe` and `tlsaudit` use. A context is built
+once per process for each set of credential bytes (CA, certificate and key)
+and shared by every caller that loads the same bytes, so callers must not
+change one. A vantage is the source address that `manifest.vantage` picks: an
+allowlisted address, or None for the host's default (the scanner's external
+vantage).
 
 Per request the caller of `HttpClient` controls two things ordinary HTTP
 clients hide: the vantage, and whether the configured client certificate is
@@ -40,6 +43,7 @@ import functools
 import http.client
 import io
 import json
+import pathlib
 import socket
 import ssl
 import threading
@@ -56,6 +60,11 @@ _READ_CHUNK = 64 * 1024
 _STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 # OSError covers refused and reset connections, TLS failures and timeouts.
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+# Client contexts by (file bytes, tls12_max). A scan loads at most four; the
+# bound keeps a process that rotates its credentials from growing without end.
+_MAX_CONTEXTS = 16
+_CONTEXTS: dict[tuple, ssl.SSLContext] = {}
+_CONTEXTS_LOCK = threading.Lock()
 
 
 class WireError(Exception):
@@ -95,7 +104,45 @@ def client_context(
 ) -> ssl.SSLContext:
     """A TLS client context that verifies the server certificate against
     ``ca_path`` whenever one is given, presents ``cert`` and ``key`` when
-    both are given, and with ``tls12_max`` offers TLS 1.2 at most."""
+    both are given, and with ``tls12_max`` offers TLS 1.2 at most.
+
+    The files are read on every call, and a context is built only for bytes
+    this process has not loaded before: the same bytes at another path give
+    the same context, and a file rewritten in place gives a new one. The
+    context is shared, so callers must not change it; it keeps no TLS
+    session of its own. A file that cannot be read or parsed raises the
+    loader's own error, and no failure is cached."""
+    identity = (cert, key) if cert and key else (None, None)
+    paths = (ca_path or None, *identity)
+    contents = _file_bytes(paths)
+    if contents is None:  # the loader raises the read error itself
+        return _build_client_context(*paths, tls12_max)
+    cache_key = (contents, tls12_max)
+    with _CONTEXTS_LOCK:
+        context = _CONTEXTS.get(cache_key)
+        if context is None:
+            context = _build_client_context(*paths, tls12_max)
+            # cached only if no file changed while the loader read it
+            if _file_bytes(paths) == contents:
+                if len(_CONTEXTS) >= _MAX_CONTEXTS:
+                    del _CONTEXTS[next(iter(_CONTEXTS))]  # the oldest
+                _CONTEXTS[cache_key] = context
+        return context
+
+
+def _file_bytes(paths: tuple[Optional[str], ...]) -> Optional[tuple]:
+    """The bytes of each named file (None where no file is named), or None
+    when a file cannot be read."""
+    try:
+        return tuple(pathlib.Path(p).read_bytes() if p else None for p in paths)
+    except OSError:
+        return None
+
+
+def _build_client_context(
+    ca_path: Optional[str], cert: Optional[str], key: Optional[str],
+    tls12_max: bool,
+) -> ssl.SSLContext:
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     ctx.check_hostname = False  # targets are addressed by IP
     if ca_path:

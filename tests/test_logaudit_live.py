@@ -18,11 +18,13 @@ LOG_IDS = ("LOG-01", "LOG-02", "LOG-03", "LOG-04")
 
 class _StubRepo(BaseHTTPRequestHandler):
     """Authenticated reads get `listing` with `listing_status`, appends get
-    `append`; overwrites, deletes and anonymous reads are refused."""
+    `append` with `append_status`; overwrites, deletes and anonymous reads
+    are refused."""
 
     listing = b'{"records": []}'
     listing_status = 200
     append = b'{"seq": 1}'
+    append_status = 201
 
     def log_message(self, *args):
         pass
@@ -41,7 +43,7 @@ class _StubRepo(BaseHTTPRequestHandler):
             self._reply(401)
 
     def do_POST(self):
-        self._reply(201, self.append)
+        self._reply(self.append_status, self.append)
 
     def do_PUT(self):
         self._reply(403)
@@ -104,7 +106,9 @@ def _check_logs(manifest, client=HttpClient):
     return {r.check_id: r for r in results}
 
 
-@pytest.mark.parametrize("listing", [b"<html>busy</html>", b"[1, 2]", b'{"records": 7}'])
+@pytest.mark.parametrize("listing", [
+    b"<html>busy</html>", b"[1, 2]", b'{"records": 7}', b"{}",
+])
 def test_unreadable_listing_costs_only_the_snapshot_checks(stub_repo, listing):
     results = _check_logs(stub_repo(listing=listing))
     for check_id in ("LOG-01", "LOG-03"):
@@ -114,6 +118,21 @@ def test_unreadable_listing_costs_only_the_snapshot_checks(stub_repo, listing):
         ]
     assert results["LOG-02"].status is CheckStatus.PASS
     assert results["LOG-04"].status is CheckStatus.PASS
+
+
+@pytest.mark.parametrize("append_status, status", [
+    (201, CheckStatus.FAIL), (400, CheckStatus.NOT_ASSESSABLE),
+], ids=["forged-link-accepted", "forged-link-rejected"])
+def test_an_empty_log_has_no_link_to_verify(stub_repo, append_status, status):
+    # No link was verified, so the chain is not assessed; a forged link that
+    # the repository accepts still fails LOG-03.
+    word = "accepted" if append_status == 201 else "rejected"
+    results = _check_logs(stub_repo(append_status=append_status))
+    assert results["LOG-03"].status is status
+    assert results["LOG-03"].evidence == [
+        "logs: repository holds no records; no hash link to verify",
+        f"append with forged chain link {word}: HTTP {append_status}",
+    ]
 
 
 @pytest.mark.parametrize("fault", ["503", "transport"])

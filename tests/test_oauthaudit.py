@@ -84,11 +84,11 @@ def test_secret_never_sent_over_plaintext():
 
 
 class _StubHttp(HttpClient):
-    """Answers every request with one fixed status and body."""
+    """Answers every request with one fixed status, body and headers."""
 
-    def __init__(self, status, body):
+    def __init__(self, status, body, headers=()):
         super().__init__()
-        self.response = HttpResponse(status, [], body)
+        self.response = HttpResponse(status, list(headers), body)
 
     def request(self, *args, **kwargs):
         return self.response
@@ -147,6 +147,66 @@ client_secret = 0123456789abcdef0123456789abcdef
 role = OAuthServer
 endpoints = https://127.0.0.1:1
 """)
+
+
+# Each check's probes: (label, artifact, sent to the token endpoint).
+_REFUSED_PROBES = {
+    "OAUTH-01": [("issuance without client certificate", "token", True)],
+    "OAUTH-05": [("password grant", "token", True), ("implicit flow", "token", False),
+                 ("authorization_code flow without PKCE", "code", False)],
+    "OAUTH-06": [("authorization request without a state parameter", "code", False)],
+}
+
+
+def _refusal_checks(status, body=b"", location=None):
+    """OAUTH-01, -05 and -06 against a server that gives every request one
+    answer."""
+    http = _StubHttp(status, body, [("Location", location)] if location else [])
+    return {r.check_id: r for r in check_oauth(_AUTH_ONLY, http, _REFUSED_PROBES)}
+
+
+@pytest.mark.parametrize("status, body, detail", [
+    (500, b"", ""),
+    (503, b'{"error": "temporarily_unavailable"}', " (error=temporarily_unavailable)"),
+    (200, b"{}", " (error=success body without parseable token: 'access_token')"),
+    (302, b"", ""),
+], ids=["500", "503", "200-without-token", "302-without-artifact"])
+def test_an_answer_that_is_no_refusal_is_not_assessable(status, body, detail):
+    # Only a 4xx, or a redirect that carries an error, refuses; the 302 here
+    # carries neither an error nor the artifact.
+    location = "https://auditor.invalid/callback?state=audit-state"
+    results = _refusal_checks(status, body, location if status == 302 else None)
+    for check_id, probes in _REFUSED_PROBES.items():
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == [
+            f"{label} answered HTTP {status}{detail if token_endpoint else ''}: "
+            f"neither a refusal nor a {artifact}"
+            for label, artifact, token_endpoint in probes
+        ]
+
+
+@pytest.mark.parametrize("separator", ["?", "#"], ids=["query", "fragment"])
+def test_an_authorization_redirect_that_carries_an_error_is_a_refusal(separator):
+    location = f"https://auditor.invalid/callback{separator}error=access_denied&state=s"
+    results = _refusal_checks(302, location=location)
+    assert results["OAUTH-06"].status is CheckStatus.PASS
+    assert results["OAUTH-06"].evidence == [
+        "authorization request without a state parameter rejected: HTTP 302 "
+        "(error=access_denied)"
+    ]
+    # a token endpoint refuses with a 4xx alone
+    assert results["OAUTH-05"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["OAUTH-05"].evidence[0] == (
+        "password grant answered HTTP 302: neither a refusal nor a token"
+    )
+
+
+def test_an_implicit_grant_in_the_fragment_fails_oauth05():
+    results = _refusal_checks(
+        302, location="https://auditor.invalid/callback#access_token=t&state=s"
+    )
+    assert results["OAUTH-05"].status is CheckStatus.FAIL
+    assert "implicit flow completed and granted a token" in results["OAUTH-05"].evidence
 
 
 @pytest.fixture

@@ -6,7 +6,10 @@ import dataclasses
 import gc
 import http.client
 import pathlib
+import re
+import shutil
 import socket
+import ssl
 import struct
 import sys
 import threading
@@ -17,8 +20,10 @@ import pytest
 
 from utmaudit import wire
 from utmaudit.engine import run_audit
+from utmaudit.manifest import ComponentRole
 from utmaudit.results import CheckStatus
 from utmaudit.testbed import httpbase
+from utmaudit.testbed.certs import make_bundle, write_bundle
 from utmaudit.wire import HttpClient, WireError
 
 
@@ -231,6 +236,135 @@ def test_concurrent_requests_build_each_tls_context_once(
     assert len(builds) == 1
 
 
+@pytest.fixture
+def credential_loads(monkeypatch):
+    """The name of every credential load into any SSLContext while the test
+    runs, in order; each load takes 20 ms longer, which widens any window
+    between a cache lookup and its build."""
+    loads = []
+    for name in ("load_cert_chain", "load_verify_locations"):
+        real = getattr(ssl.SSLContext, name)
+
+        def counting(self, *args, _real=real, _name=name, **kwargs):
+            loads.append(_name)
+            time.sleep(0.02)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ssl.SSLContext, name, counting)
+    return loads
+
+
+def test_a_second_scan_in_one_process_loads_no_credentials(
+    secure_testbed, credential_loads,
+):
+    run_audit(secure_testbed.manifest)  # the process has loaded them now
+    credential_loads.clear()
+    assert run_audit(secure_testbed.manifest).summary()["pass"] == 26
+    assert credential_loads == []
+
+
+def _copy_credentials(paths, directory: pathlib.Path) -> tuple[str, str, str]:
+    """The CA, client certificate and client key of ``paths``, copied into
+    ``directory``."""
+    directory.mkdir()
+    return tuple(
+        shutil.copy(source, directory / pathlib.Path(source).name)
+        for source in (paths.ca_cert, paths.client_cert, paths.client_key)
+    )
+
+
+def test_client_contexts_are_keyed_by_the_bytes_of_their_files(
+    secure_testbed, http_stub, tmp_path, close_after,
+):
+    paths = secure_testbed.cert_paths
+    original = wire.client_context(paths.ca_cert, paths.client_cert, paths.client_key)
+    ca, cert, key = _copy_credentials(paths, tmp_path / "copy")
+    assert wire.client_context(ca, cert, key) is original
+
+    other = write_bundle(make_bundle(), str(tmp_path / "other"))
+    url = f"https://127.0.0.1:{http_stub(_Echo, tls=httpbase.https_context(other))}/"
+    before = wire.client_context(ca)
+    with pytest.raises(WireError, match="CERTIFICATE_VERIFY_FAILED"):
+        close_after(HttpClient(ca_path=ca)).request("GET", url)
+    # the same path, rewritten in place with another CA
+    pathlib.Path(ca).write_bytes(pathlib.Path(other.ca_cert).read_bytes())
+    assert wire.client_context(ca) is not before
+    assert close_after(HttpClient(ca_path=ca)).request("GET", url).status == 200
+
+
+@pytest.mark.parametrize("broken, error", [
+    ("ca", re.escape("[Errno 2] No such file or directory")),
+    ("key", re.escape("[Errno 2] No such file or directory")),
+    ("unparseable-ca", r"\[X509: NO_CERTIFICATE_OR_CRL_FOUND\] no certificate or crl "
+                       r"found \(_ssl\.c:\d+\)"),
+], ids=["missing-ca", "missing-key", "unparseable-ca"])
+def test_credentials_that_cannot_be_loaded_are_not_assessable_and_not_cached(
+    secure_testbed, tmp_path, broken, error,
+):
+    manifest = secure_testbed.manifest
+    ca, cert, key = _copy_credentials(secure_testbed.cert_paths, tmp_path / "copy")
+    target = pathlib.Path(key if broken == "key" else ca)
+    good = target.read_bytes()
+    if broken == "unparseable-ca":
+        target.write_text("not a certificate\n")
+    else:
+        target.unlink()
+    manifest = dataclasses.replace(
+        manifest, ca_path=ca,
+        oauth_client=dataclasses.replace(manifest.oauth_client, certificate=cert, key=key),
+    )
+    token_url = manifest.oauth_server().primary_endpoint().url("/token")
+    labels = {
+        "DB-01": [f"{db.id} {endpoint.url()}"
+                  for db in manifest.by_role(ComponentRole.DB_NODE)
+                  for endpoint in db.endpoints],
+        # a token request that presents the client certificate
+        "OAUTH-02": [f"POST {token_url}"],
+    }
+    results = {r.check_id: r for r in run_audit(manifest, set(labels)).results}
+    for check_id, expected in labels.items():
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert len(results[check_id].evidence) == len(expected)
+        for label, line in zip(expected, results[check_id].evidence):
+            assert re.fullmatch(f"{re.escape(label)}: {error}", line), line
+
+    # the file made good in place: the next scan loads it
+    target.write_bytes(good)
+    results = run_audit(manifest, set(labels)).results
+    assert [r.status for r in results] == [CheckStatus.PASS] * 2
+
+
+def test_concurrent_first_asks_for_new_credentials_build_one_context(
+    secure_testbed, credential_loads, monkeypatch,
+):
+    monkeypatch.setattr(wire, "_CONTEXTS", {})  # nothing loaded yet
+    paths = secure_testbed.cert_paths
+    workers = 8
+    barrier = threading.Barrier(workers)
+    contexts = []
+
+    def ask():
+        barrier.wait(timeout=10)
+        contexts.append(
+            wire.client_context(paths.ca_cert, paths.client_cert, paths.client_key)
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(contexts) == workers
+    assert all(context is contexts[0] for context in contexts)
+    assert credential_loads == ["load_verify_locations", "load_cert_chain"]
+
+
 def _drip(prefix: bytes, rest: bytes):
     def script(conn, stop):
         conn.sendall(prefix)
@@ -328,12 +462,15 @@ _OWN_TRANSPORT = {
     ("socket", "create_connection"), ("socket", "socket"),
     ("ssl", "SSLContext"), ("ssl", "create_default_context"),
 }
+# Methods that load credentials into a TLS context, whatever the receiver.
+_CREDENTIAL_LOADS = {"load_cert_chain", "load_verify_locations"}
 
 
 def test_only_wire_dials_or_builds_a_tls_client_context():
     """Every probe connects with wire.dial and builds its TLS contexts with
     wire.client_context, so the vantage and identity rules live in one
-    place. cli's ``testbed down`` port check is no probe."""
+    place, and no scanner module loads credentials outside its per-process
+    cache. cli's ``testbed down`` port check is no probe."""
     stray = []
     for path in sorted(pathlib.Path(wire.__file__).parent.glob("*.py")):
         if path.name == "wire.py":
@@ -347,11 +484,12 @@ def test_only_wire_dials_or_builds_a_tls_client_context():
         }
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)):
+                    and isinstance(node.func, ast.Attribute)):
                 continue
-            call = (node.func.value.id, node.func.attr)
+            receiver = getattr(node.func.value, "id", None)
+            own = ((receiver, node.func.attr) in _OWN_TRANSPORT
+                   or node.func.attr in _CREDENTIAL_LOADS)
             where = (path.name, function.get(node))
-            if call in _OWN_TRANSPORT and where != ("cli.py", "_testbed_down"):
-                stray.append((*where, node.lineno, ".".join(call)))
+            if own and where != ("cli.py", "_testbed_down"):
+                stray.append((*where, node.lineno, ast.unparse(node.func)))
     assert stray == []
