@@ -123,7 +123,6 @@ def request_token(server: ComponentSpec, req: TokenRequest, http: HttpClient) ->
     resp = http.request(
         "POST", url, form=form,
         present_client_cert=req.present_client_cert,
-        max_retries=3,
     )
     if resp.status != 200:
         try:

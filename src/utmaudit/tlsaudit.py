@@ -13,14 +13,15 @@ A posture probe performs up to three handshakes against one endpoint:
 
 If the first handshake fails outright the probe falls back to a plain TCP
 read; any bytes received mean the listener speaks plaintext. Connections
-come from `wire.dial` and contexts from `wire.client_context`. A connect that
-fails, on any of the three, ends the probe: it is no rejected handshake.
+come from `wire.dial`, and each handshake asks `wire.client_context` for its
+context, which it builds once per process for the same credential bytes. A
+connect that fails, on any of the three, ends the probe: it is no rejected
+handshake.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import socket
 import ssl
 from dataclasses import dataclass
@@ -59,32 +60,6 @@ class TlsPosture:
 
 class _HandshakeRejected(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ClientContexts:
-    """The three client contexts of a posture probe, one per handshake.
-    Built once per sweep: each build reads the CA, certificate and key files
-    again, and `client_context` builds a context anew only when their bytes
-    changed."""
-
-    identified: ssl.SSLContext
-    anonymous: ssl.SSLContext
-    legacy: ssl.SSLContext
-    presents_certificate: bool
-
-    @staticmethod
-    def build(
-        ca_path: Optional[str] = None,
-        client_cert: Optional[str] = None,
-        client_key: Optional[str] = None,
-    ) -> "ClientContexts":
-        return ClientContexts(
-            identified=client_context(ca_path, client_cert, client_key),
-            anonymous=client_context(ca_path),
-            legacy=client_context(ca_path, client_cert, client_key, tls12_max=True),
-            presents_certificate=bool(client_cert and client_key),
-        )
 
 
 def _handshake(
@@ -157,7 +132,9 @@ def _subject_cn(der: Optional[bytes]) -> Optional[str]:
 
 def probe_tls(
     endpoint: Endpoint,
-    contexts: ClientContexts,
+    ca_path: Optional[str] = None,
+    cert: Optional[str] = None,
+    key: Optional[str] = None,
     *,
     source: Optional[str] = None,
     timeout_s: float = 5.0,
@@ -165,7 +142,7 @@ def probe_tls(
     notes: list[str] = []
     try:
         version, der, banner_with = _handshake(
-            endpoint, contexts.identified, source, timeout_s
+            endpoint, client_context(ca_path, cert, key), source, timeout_s
         )
     except _HandshakeRejected as exc:
         plain = _plaintext_peek(endpoint, source, timeout_s)
@@ -185,7 +162,7 @@ def probe_tls(
     # anonymous handshake: must read to surface deferred rejection
     try:
         _, _, banner_without = _handshake(
-            endpoint, contexts.anonymous, source, timeout_s
+            endpoint, client_context(ca_path), source, timeout_s
         )
         anonymous_accepted = True
     except _HandshakeRejected:
@@ -195,7 +172,7 @@ def probe_tls(
     if not anonymous_accepted:
         demand = ClientCertDemand.REQUIRED
     elif (
-        contexts.presents_certificate
+        bool(cert and key)
         and banner_with is not None
         and banner_without is not None
         and banner_with != banner_without
@@ -207,7 +184,8 @@ def probe_tls(
 
     try:
         legacy_version, _, _ = _handshake(
-            endpoint, contexts.legacy, source, timeout_s
+            endpoint, client_context(ca_path, cert, key, tls12_max=True),
+            source, timeout_s,
         )
         accepts_legacy = True
         notes.append(f"legacy offer negotiated {legacy_version}")
@@ -258,17 +236,14 @@ def check_db_transport(
 ) -> CheckResult:
     client = manifest.oauth_client
     cert, key = (client.certificate, client.key) if client.has_certificate() else (None, None)
-    # Built on first use, inside the attempt, so a CA or key file that
-    # cannot be read gives every endpoint its NotAssessable line. The next
-    # sweep reads the files again; their contexts are rebuilt only when the
-    # bytes changed.
-    contexts = functools.cache(lambda: ClientContexts.build(manifest.ca_path, cert, key))
+    # Each handshake asks client_context inside the attempt, so a CA or key
+    # file that cannot be read gives every endpoint its NotAssessable line.
     outcomes = []
     for comp in manifest.by_role(ComponentRole.DB_NODE):
         for endpoint in comp.endpoints:
             label = f"{comp.id} {endpoint.url()}"
             outcomes += attempt(label, lambda: [_posture_outcome(comp, label, probe_tls(
-                endpoint, contexts(), timeout_s=timeout_s,
+                endpoint, manifest.ca_path, cert, key, timeout_s=timeout_s,
                 source=vantage(comp, manifest.allowlisted_source),
             ))])
     return fold("DB-01", outcomes)

@@ -22,8 +22,7 @@ closes the connection. `HttpClient.close()` closes every idle connection.
 A reused connection that fails before any status line arrives
 (RemoteDisconnected, ConnectionResetError, BrokenPipeError) lost the race with
 a server closing it while idle. That request alone is sent once more, on a
-fresh connection; every other failure raises WireError at once, and
-`max_retries` retries it as before.
+fresh connection; every other failure raises WireError at once.
 
 `timeout_s` bounds each connect and send, and it is the request's deadline:
 the status line, headers and body must all arrive within `timeout_s` of the
@@ -187,8 +186,9 @@ class HttpResponse:
 
 
 class HttpClient:
-    """Thread-safe: one lock guards the idle pool and the TLS contexts, and a
-    connection serves one request at a time."""
+    """Thread-safe: one lock guards the idle pool, and a connection serves
+    one request at a time. Each new HTTPS connection asks `client_context`
+    for its context."""
 
     def __init__(
         self,
@@ -204,7 +204,6 @@ class HttpClient:
         self.allowlisted_source = allowlisted_source
         self.timeout_s = timeout_s
         self._lock = threading.Lock()
-        self._contexts: dict[bool, ssl.SSLContext] = {}
         self._idle: dict[tuple, list[http.client.HTTPConnection]] = {}
 
     def close(self) -> None:
@@ -215,16 +214,7 @@ class HttpClient:
             for conn in conns:
                 conn.close()
 
-    # -- TLS contexts and connections --------------------------------------
-
-    def _context(self, with_cert: bool) -> ssl.SSLContext:
-        """Callers hold the lock, so each context is built once."""
-        if with_cert not in self._contexts:
-            if with_cert and not (self.client_cert and self.client_key):
-                raise WireError("client certificate requested but not configured")
-            identity = (self.client_cert, self.client_key) if with_cert else ()
-            self._contexts[with_cert] = client_context(self.ca_path, *identity)
-        return self._contexts[with_cert]
+    # -- Connections -------------------------------------------------------
 
     def _connect(
         self, scheme: str, host: str, port: int, source: Optional[str],
@@ -234,10 +224,12 @@ class HttpClient:
         if scheme == "http":
             conn = http.client.HTTPConnection(host, port, timeout=self.timeout_s)
         else:
-            with self._lock:
-                context = self._context(with_cert)
+            if with_cert and not (self.client_cert and self.client_key):
+                raise WireError("client certificate requested but not configured")
+            identity = (self.client_cert, self.client_key) if with_cert else ()
             conn = http.client.HTTPSConnection(
-                host, port, timeout=self.timeout_s, context=context
+                host, port, timeout=self.timeout_s,
+                context=client_context(self.ca_path, *identity),
             )
         conn._create_connection = (
             lambda address, timeout, _: dial(*address, source, timeout)
@@ -266,7 +258,6 @@ class HttpClient:
         headers: Optional[dict] = None,
         source: Optional[str] = None,
         present_client_cert: bool = False,
-        max_retries: int = 0,
     ) -> HttpResponse:
         parts = urllib.parse.urlsplit(url)
         if parts.scheme not in ("http", "https"):
@@ -284,32 +275,7 @@ class HttpClient:
         if headers:
             send_headers.update(headers)
 
-        attempt = 0
-        while True:
-            try:
-                return self._one_request(
-                    parts.scheme, host, port, method, path, body, send_headers,
-                    source, present_client_cert,
-                )
-            except WireError:
-                if attempt >= max_retries:
-                    raise
-                time.sleep(0.1 * (2 ** attempt))
-                attempt += 1
-
-    def _one_request(
-        self,
-        scheme: str,
-        host: str,
-        port: int,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: dict,
-        source: Optional[str],
-        present_client_cert: bool,
-    ) -> HttpResponse:
-        key = (scheme, host, port, source, present_client_cert)
+        key = (parts.scheme, host, port, source, present_client_cert)
         deadline = time.monotonic() + self.timeout_s
         conn = self._checkout(key)
         reused = conn is not None
@@ -317,20 +283,20 @@ class HttpClient:
             if conn is None:
                 conn = self._connect(*key)
             try:
-                resp = _send(conn, method, path, body, headers, deadline)
+                resp = _send(conn, method, path, body, send_headers, deadline)
             except _STALE:
                 if not reused:
                     raise
                 conn.close()  # closed by the server while idle: once more, fresh
                 conn = self._connect(*key)
-                resp = _send(conn, method, path, body, headers, deadline)
+                resp = _send(conn, method, path, body, send_headers, deadline)
             payload = _read_body(resp)
         except BaseException as exc:
             if conn is not None:
                 conn.close()
             if isinstance(exc, _TRANSPORT_ERRORS):
                 raise WireError(
-                    f"{method} {scheme}://{host}:{port}{path}: {exc}"
+                    f"{method} {parts.scheme}://{host}:{port}{path}: {exc}"
                 ) from exc
             raise
         if resp.will_close:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from utmaudit import netprobe, wire
 from utmaudit.engine import run_audit
 from utmaudit.testbed.harness import start_testbed
 
@@ -24,6 +25,23 @@ def close_after():
     test ends, so none of its pooled connections outlives the test."""
     with contextlib.ExitStack() as stack:
         yield lambda client: stack.enter_context(contextlib.closing(client))
+
+
+@pytest.fixture
+def context_builds(monkeypatch):
+    """The arguments of every TLS client context that ``wire`` builds while
+    the test runs, in order, starting from a process that has built none."""
+    built = []
+    real = wire._build_client_context
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(wire, "_CONTEXTS", {})
+    monkeypatch.setattr(wire, "_build_client_context", counting)
+    netprobe._client_hello.cache_clear()
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -98,6 +98,7 @@ class _JwksUnreadable(HttpClient):
     publishes one of the documents in ``DOCUMENTS``."""
 
     DOCUMENTS = {
+        "not-an-object": b"[]",
         "keys-string": b'{"keys": "dpq"}',
         "rsa-without-n": b'{"keys": [{"kty": "RSA"}]}',
         "rsa-n-not-text": b'{"keys": [{"kty": "RSA", "n": 5, "e": "AQAB"}]}',
@@ -122,6 +123,7 @@ class _JwksUnreadable(HttpClient):
 @pytest.mark.parametrize("fault, reason", [
     ("503", "HTTP 503"),
     ("transport", "GET {url}: timed out"),
+    ("not-an-object", "not a JSON object"),
     ("keys-string", "keys is not a list of objects"),
 ])
 def test_unreadable_jwks_leaves_jwt04_not_assessable(

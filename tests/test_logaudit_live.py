@@ -1,6 +1,7 @@
 """LOG checks against a stub log repository that answers malformed bodies."""
 
 import contextlib
+import dataclasses
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -133,13 +134,29 @@ def test_an_empty_log_has_no_link_to_verify(stub_repo, append_status, status):
         "logs: repository holds no records; no hash link to verify",
         f"append with forged chain link {word}: HTTP {append_status}",
     ]
+    assert results["LOG-01"].status is CheckStatus.NOT_ASSESSABLE
+    assert results["LOG-01"].evidence == ["logs: repository holds no records to sample"]
+    if append_status == 400:
+        assert results["LOG-02"].status is CheckStatus.NOT_ASSESSABLE
+        assert results["LOG-02"].evidence == [
+            "sacrificial append rejected (HTTP 400); mutation probing has no safe target"
+        ]
 
 
-@pytest.mark.parametrize("fault", ["503", "transport"])
+@pytest.mark.parametrize("fault", ["503", "transport", "no-read"])
 def test_a_listing_that_cannot_be_fetched_costs_the_checks_that_read_it(stub_repo, fault):
     # LOG-04's refusals mean nothing unless the listing read, its control,
     # was answered: a repository that is down refuses every read.
-    if fault == "503":
+    if fault == "no-read":
+        manifest = stub_repo()
+        repo = manifest.component("logs")
+        manifest = dataclasses.replace(manifest, components=tuple(
+            dataclasses.replace(c, read=None) if c is repo else c
+            for c in manifest.components
+        ))
+        results = _check_logs(manifest)
+        line = "logs: no read action declared"
+    elif fault == "503":
         manifest = stub_repo(listing_status=503)
         results = _check_logs(manifest)
         line = "logs: record listing returned HTTP 503"

@@ -1,8 +1,10 @@
 """Secret-strength arithmetic and token-request guard rails."""
 
 import concurrent.futures
+import contextlib
 import json
 import math
+import socket
 import sys
 
 import pytest
@@ -83,6 +85,31 @@ def test_secret_never_sent_over_plaintext():
         request_token(server, req, HttpClient())
 
 
+def test_a_stalled_token_endpoint_is_asked_once():
+    """A token endpoint that accepts the connection and never answers costs
+    one request deadline: nothing sends the request again."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    server = ComponentSpec(
+        id="auth",
+        role=ComponentRole.OAUTH_SERVER,
+        endpoints=(Endpoint("127.0.0.1", listener.getsockname()[1], "http"),),
+        token_path="/token",
+    )
+    req = TokenRequest(grant_type="client_credentials", client_id="c")
+    with listener, contextlib.closing(HttpClient(timeout_s=0.3)) as http:
+        with pytest.raises(WireError, match="timed out"):
+            request_token(server, req, http)
+        # the kernel completed every handshake; none was answered
+        listener.setblocking(False)
+        connections = []
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                connections.append(listener.accept()[0])
+        for conn in connections:
+            conn.close()
+    assert len(connections) == 1
+
+
 class _StubHttp(HttpClient):
     """Answers every request with one fixed status, body and headers."""
 
@@ -136,6 +163,12 @@ endpoints = https://127.0.0.1:1
     [result] = check_oauth(manifest, _StubHttp(200, body), ["OAUTH-02"])
     assert result.status is CheckStatus.NOT_ASSESSABLE
     assert result.evidence == ["granted scope in the token response is not a string"]
+    # no scope granted at all
+    [result] = check_oauth(
+        manifest, _StubHttp(400, b'{"error": "invalid_scope"}'), ["OAUTH-02"]
+    )
+    assert result.status is CheckStatus.NOT_ASSESSABLE
+    assert result.evidence == ["token request for entitled scopes rejected: HTTP 400"]
 
 
 _AUTH_ONLY = parse_manifest(b"""\

@@ -220,6 +220,27 @@ def test_check_passes_on_safe_gateway(isa_server, close_after):
     assert result.status is CheckStatus.PASS
 
 
+@pytest.mark.parametrize("status", [404, 503])
+def test_a_baseline_answered_with_an_error_status_is_not_assessable(
+    status, close_after,
+):
+    handler = type("Handler", (_IsaHandler,), {
+        "do_GET": lambda self: self._reply(status, {"error": "unavailable"}),
+    })
+    server = httpbase.TestbedHttpServer(("127.0.0.1", 0), handler, None)
+    server.start()
+    try:
+        result = check_sql_injection(
+            _manifest(server.server_address[1]), close_after(HttpClient())
+        )
+    finally:
+        server.stop()
+    assert result.status is CheckStatus.NOT_ASSESSABLE
+    assert result.evidence == [
+        f"gw GET /isa param area: baseline request returned HTTP {status}"
+    ]
+
+
 def test_unreachable_gateway_not_assessable():
     result = check_sql_injection(
         _manifest(1), HttpClient(timeout_s=0.5)

@@ -6,14 +6,12 @@ import threading
 
 import pytest
 
-from utmaudit import tlsaudit
 from utmaudit.manifest import ComponentRole, Endpoint, parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.testbed.certs import make_bundle, write_bundle
 from utmaudit.testbed.rawlisteners import db_server_context, make_db_node, make_kms
 from utmaudit.tlsaudit import (
     ClientCertDemand,
-    ClientContexts,
     check_data_at_rest,
     check_db_transport,
     probe_tls,
@@ -43,13 +41,13 @@ def _run_node(tls_context):
 
 
 def _identified(pki):
-    return ClientContexts.build(pki.ca_cert, pki.client_cert, pki.client_key)
+    return pki.ca_cert, pki.client_cert, pki.client_key
 
 
 def test_strict_node_posture(pki):
     node, ep = _run_node(db_server_context(pki))
     try:
-        posture = probe_tls(ep, _identified(pki))
+        posture = probe_tls(ep, *_identified(pki))
     finally:
         node.stop()
     assert posture.speaks_tls
@@ -62,7 +60,7 @@ def test_strict_node_posture(pki):
 def test_plaintext_node_detected(pki):
     node, ep = _run_node(None)
     try:
-        posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
+        posture = probe_tls(ep, ca_path=pki.ca_cert)
     finally:
         node.stop()
     assert not posture.speaks_tls
@@ -73,7 +71,7 @@ def test_plaintext_node_detected(pki):
 def test_tls12_node_flagged_as_legacy(pki):
     node, ep = _run_node(db_server_context(pki, tls12_only=True))
     try:
-        posture = probe_tls(ep, _identified(pki))
+        posture = probe_tls(ep, *_identified(pki))
     finally:
         node.stop()
     assert posture.speaks_tls
@@ -86,7 +84,7 @@ def test_anonymous_peer_rejected_post_handshake(pki):
     # the no-certificate probe must fail only at its first read
     node, ep = _run_node(db_server_context(pki))
     try:
-        posture = probe_tls(ep, ClientContexts.build(ca_path=pki.ca_cert))
+        posture = probe_tls(ep, ca_path=pki.ca_cert)
     finally:
         node.stop()
     assert posture.speaks_tls is False
@@ -100,7 +98,7 @@ def test_kms_banner_is_plaintext():
     kms.start()
     try:
         posture = probe_tls(
-            Endpoint(host="127.0.0.1", port=port, scheme="tcp"), ClientContexts.build()
+            Endpoint(host="127.0.0.1", port=port, scheme="tcp")
         )
     finally:
         kms.stop()
@@ -117,7 +115,7 @@ def test_allowlisted_node_drops_unlisted_peer(pki):
     node.start()
     try:
         posture = probe_tls(
-            Endpoint(host="127.0.0.1", port=port, scheme="tcp"), _identified(pki)
+            Endpoint(host="127.0.0.1", port=port, scheme="tcp"), *_identified(pki)
         )
         assert not posture.speaks_tls
         assert posture.plaintext_banner is None
@@ -210,27 +208,29 @@ def test_a_connect_refused_after_the_first_handshake_is_not_a_pass(pki):
     assert line.startswith(f"db tcp://127.0.0.1:{port}: "), line
 
 
-def test_db_transport_builds_its_contexts_once_per_sweep(pki, monkeypatch):
-    built = []
-    real = tlsaudit.client_context
-
-    def counting(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(tlsaudit, "client_context", counting)
-    manifest = _manifest_for(_free_port(), pki)
-    db = manifest.by_role(ComponentRole.DB_NODE)[0]
-    second = Endpoint(host="127.0.0.1", port=_free_port(), scheme="tcp")
-    two_nodes = dataclasses.replace(db, endpoints=db.endpoints + (second,))
-    manifest = dataclasses.replace(manifest, components=tuple(
-        two_nodes if c is db else c for c in manifest.components
-    ))
-    for _ in range(2):
-        result = check_db_transport(manifest, timeout_s=1.0)
-        assert len(result.evidence) == 2
-    # three contexts per sweep, read afresh by the next sweep
-    assert len(built) == 6
+def test_db_transport_builds_its_contexts_once_per_sweep(pki, context_builds):
+    nodes = [_run_node(db_server_context(pki)) for _ in range(2)]
+    try:
+        manifest = _manifest_for(nodes[0][1].port, pki)
+        db = manifest.by_role(ComponentRole.DB_NODE)[0]
+        two_nodes = dataclasses.replace(db, endpoints=(nodes[0][1], nodes[1][1]))
+        manifest = dataclasses.replace(manifest, components=tuple(
+            two_nodes if c is db else c for c in manifest.components
+        ))
+        for _ in range(2):
+            result = check_db_transport(manifest, timeout_s=1.0)
+            assert result.status is CheckStatus.PASS
+            assert len(result.evidence) == 2
+    finally:
+        for node, _ in nodes:
+            node.stop()
+    # the identified, anonymous and TLS 1.2-capped contexts, built by the
+    # first handshake that asks for each and shared by every later one
+    assert sorted(context_builds, key=repr) == sorted([
+        (pki.ca_cert, pki.client_cert, pki.client_key, False),
+        (pki.ca_cert, None, None, False),
+        (pki.ca_cert, pki.client_cert, pki.client_key, True),
+    ], key=repr)
 
 
 def test_data_at_rest_plaintext_marker(tmp_path, pki):

@@ -190,21 +190,12 @@ def test_connections_are_never_shared_across_identity_or_vantage(
 
 
 def test_concurrent_requests_build_each_tls_context_once(
-    secure_testbed, http_stub, monkeypatch,
+    secure_testbed, http_stub, context_builds, credential_loads,
 ):
     paths = secure_testbed.cert_paths
     port = http_stub(
         _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
     )
-    builds = []
-    real_build = wire.client_context
-
-    def slow_counting(*args, **kwargs):
-        builds.append(1)
-        time.sleep(0.05)  # widens any window between the check and the build
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(wire, "client_context", slow_counting)
     http = HttpClient(
         ca_path=paths.ca_cert, client_cert=paths.client_cert,
         client_key=paths.client_key,
@@ -233,7 +224,17 @@ def test_concurrent_requests_build_each_tls_context_once(
         http.close()
     assert not any(thread.is_alive() for thread in threads)
     assert statuses == [200] * workers
-    assert len(builds) == 1
+    assert context_builds == [
+        (paths.ca_cert, paths.client_cert, paths.client_key, False)
+    ]
+
+
+def test_a_client_certificate_that_is_not_configured_is_not_offered():
+    # raised before any connection is opened
+    with pytest.raises(
+        WireError, match="^client certificate requested but not configured$"
+    ):
+        HttpClient().request("GET", "https://127.0.0.1:1/", present_client_cert=True)
 
 
 @pytest.fixture
@@ -255,9 +256,17 @@ def credential_loads(monkeypatch):
 
 
 def test_a_second_scan_in_one_process_loads_no_credentials(
-    secure_testbed, credential_loads,
+    secure_testbed, context_builds, credential_loads,
 ):
-    run_audit(secure_testbed.manifest)  # the process has loaded them now
+    paths = secure_testbed.cert_paths
+    run_audit(secure_testbed.manifest)
+    # identified, anonymous, TLS 1.2-capped, and the ClientHello's
+    assert sorted(context_builds, key=repr) == sorted([
+        (paths.ca_cert, paths.client_cert, paths.client_key, False),
+        (paths.ca_cert, None, None, False),
+        (paths.ca_cert, paths.client_cert, paths.client_key, True),
+        (None, None, None, False),
+    ], key=repr)
     credential_loads.clear()
     assert run_audit(secure_testbed.manifest).summary()["pass"] == 26
     assert credential_loads == []
@@ -493,3 +502,33 @@ def test_only_wire_dials_or_builds_a_tls_client_context():
             if own and where != ("cli.py", "_testbed_down"):
                 stray.append((*where, node.lineno, ast.unparse(node.func)))
     assert stray == []
+
+
+# The functions outside wire that ask for a TLS client context: each makes
+# the TLS connection or the ClientHello it asks for.
+_CONTEXT_ASKERS = {
+    ("tlsaudit.py", "probe_tls"),  # DB-01's three handshakes
+    ("netprobe.py", "_client_hello"),  # NET's ClientHello, written in memory
+}
+
+
+def test_client_contexts_are_asked_for_only_where_tls_is_spoken():
+    """wire.client_context is the one cache of TLS client contexts, so no
+    probe module keeps contexts of its own to hand on."""
+    places = set()
+    for path in sorted(pathlib.Path(wire.__file__).parent.glob("*.py")):
+        if path.name == "wire.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits outer functions first, so the innermost name wins
+        function = {
+            inner: node.name
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "client_context" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None),
+            ):
+                places.add((path.name, function.get(node)))
+    assert places == _CONTEXT_ASKERS
