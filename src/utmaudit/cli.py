@@ -28,20 +28,7 @@ EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
-ENV_TIMEOUT = "UTMAUDIT_PROBE_TIMEOUT_MS"
-ENV_PORT_BASE = "UTMAUDIT_PORT_BASE"
-
 DEFAULT_STATE_FILE = ".utmaudit-testbed.json"
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,9 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("json", "text"), default="text")
     scan.add_argument("--out", help="write the report here instead of stdout")
     scan.add_argument(
-        "--probe-timeout-ms", type=int, default=None,
-        help=f"TCP probe timeout (default {DEFAULT_TIMEOUT_MS}, "
-             f"env {ENV_TIMEOUT})",
+        "--probe-timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS,
+        help=f"TCP probe timeout (default {DEFAULT_TIMEOUT_MS})",
     )
     scan.set_defaults(func=cmd_scan)
 
@@ -86,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     testbed.add_argument(
         "--port-base", type=int, default=None,
-        help=f"first of eight consecutive ports (env {ENV_PORT_BASE})",
+        help="first of eight consecutive ports",
     )
     testbed.add_argument(
         "--state", default=DEFAULT_STATE_FILE,
@@ -127,12 +113,9 @@ def cmd_scan(args) -> int:
     selection = None
     if args.checks:
         selection = {c.strip() for c in args.checks.split(",") if c.strip()}
-    timeout_ms = args.probe_timeout_ms
-    if timeout_ms is None:
-        timeout_ms = _env_int(ENV_TIMEOUT)
-    if timeout_ms is None:
-        timeout_ms = DEFAULT_TIMEOUT_MS
-    report = engine.run_audit(manifest, selection, probe_timeout_ms=timeout_ms)
+    report = engine.run_audit(
+        manifest, selection, probe_timeout_ms=args.probe_timeout_ms
+    )
     _emit(engine.render_report(report, args.format), args.out)
     return _exit_code(report)
 
@@ -197,9 +180,6 @@ _STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 def _testbed_up(args) -> int:
     from .testbed.harness import start_testbed
 
-    port_base = args.port_base
-    if port_base is None:
-        port_base = _env_int(ENV_PORT_BASE)
     # Block the stop signals before any testbed thread starts, so every
     # thread inherits the mask and sigwait below is the only receiver: no
     # handler ever runs, so none can interrupt a lock holder. The no-op
@@ -208,7 +188,8 @@ def _testbed_up(args) -> int:
     for signum in _STOP_SIGNALS:
         signal.signal(signum, lambda signum, frame: None)
     tb = start_testbed(
-        _split_toggles(args.toggle), profile=args.profile, port_base=port_base
+        _split_toggles(args.toggle), profile=args.profile,
+        port_base=args.port_base,
     )
     try:
         state = {

@@ -6,13 +6,14 @@ Routes:
     PUT /isa/<id>       create or replace one record    (utm.write)
 
 The area query runs through the parameterized route unless the
-concatenating toggle is on. Every accepted write re-persists the store
-through the configured at-rest writer.
+concatenating toggle is on. A write's fields must be JSON strings or
+numbers, the values an SQLite column binds. Every accepted write
+re-persists the store through the configured at-rest writer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from . import tokens
 from .httpbase import JsonHandler
@@ -20,6 +21,14 @@ from .store import IsaStore, QueryError
 from .toggles import Switches
 
 _WRITE_FIELDS = {"owner", "area", "floor_m", "ceiling_m", "window"}
+
+
+def _storable(value) -> bool:
+    """A JSON string, or a JSON number that an SQLite column can hold; a
+    boolean is neither."""
+    return type(value) in (str, float) or (
+        type(value) is int and -(2**63) <= value < 2**63
+    )
 
 
 class GatewayService:
@@ -36,24 +45,12 @@ class GatewayService:
         self.switches = switches
         self.persist = persist
 
-    def authorize(self, compact: Optional[str], required_scope: str) -> tokens.Verdict:
-        if compact is None:
-            return tokens.Verdict(False, 401, "missing bearer token")
-        return tokens.validate(
-            self.keys, self.policy, compact, required_scope=required_scope
-        )
-
 
 class GatewayHandler(JsonHandler):
-    def _deny(self, verdict: tokens.Verdict) -> None:
-        self.send_json(verdict.status, {"error": verdict.reason})
-
     def do_GET(self):
         service: GatewayService = self.service
         route = self.route()
-        verdict = service.authorize(self.bearer_token(), "utm.read")
-        if not verdict.ok:
-            self._deny(verdict)
+        if not self.authorized("utm.read"):
             return
         if route == "/isa":
             area = self.query().get("area", "")
@@ -82,12 +79,15 @@ class GatewayHandler(JsonHandler):
         if not route.startswith("/isa/"):
             self.send_json(404, {"error": "not found"})
             return
-        verdict = service.authorize(self.bearer_token(), "utm.write")
-        if not verdict.ok:
-            self._deny(verdict)
+        if not self.authorized("utm.write"):
             return
         body = self.read_json()
-        if body is None or not _WRITE_FIELDS.issuperset(body) or "area" not in body:
+        if (
+            body is None
+            or not _WRITE_FIELDS.issuperset(body)
+            or "area" not in body
+            or not all(map(_storable, body.values()))
+        ):
             self.send_json(400, {"error": "malformed record"})
             return
         record = service.store.put(route[len("/isa/"):], body)

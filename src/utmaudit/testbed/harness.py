@@ -95,6 +95,7 @@ class Testbed:
     client_secret: str
     cert_paths: CertPaths
     signing_keys: tokens.SigningKeys
+    store: IsaStore = field(repr=False)
     _listeners: list[Listener] = field(default_factory=list, repr=False)
     _stopped: bool = False
 
@@ -103,7 +104,7 @@ class Testbed:
 
     def stop(self) -> None:
         """Wake every accept loop first, so that no listener waits for
-        another to stop; then join and close each one."""
+        another to stop; then join and close each one, and the store."""
         if self._stopped:
             return
         self._stopped = True
@@ -111,6 +112,7 @@ class Testbed:
             listener.wake()
         for listener in self._listeners:
             listener.stop()
+        self.store.close()
         shutil.rmtree(self.workdir, ignore_errors=True)
 
 
@@ -281,16 +283,15 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
         _weak_secret() if switches.weak_secret else creds.strong_secret
     )
 
-    # at-rest persistence for the airspace store
+    # at-rest persistence for the airspace store: the declared algorithm
+    # and the stored bytes follow one toggle each, so the two compose
+    declared_encryption = "AES-128" if switches.at_rest_aes128 else "AES-256"
     if switches.no_at_rest_encryption:
-        cipher, at_rest_key = "plaintext", None
-        declared_encryption = "AES-256"  # the deployment lies; stored bytes tell
+        cipher, at_rest_key = "plaintext", None  # the declaration lies
     elif switches.at_rest_aes128:
         cipher, at_rest_key = "aes-128-gcm", secrets.token_bytes(16)
-        declared_encryption = "AES-128"
     else:
         cipher, at_rest_key = "aes-256-gcm", secrets.token_bytes(32)
-        declared_encryption = "AES-256"
     storage_path = workdir / "isa_store.bin"
     isa_store = IsaStore()
 
@@ -361,6 +362,7 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     except OSError:
         for listener in listeners:
             listener.stop()
+        isa_store.close()
         raise
 
     # Every listener bound and listened in its constructor: from here on a
@@ -390,5 +392,6 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
         client_secret=client_secret,
         cert_paths=paths,
         signing_keys=creds.keys,
+        store=isa_store,
         _listeners=listeners,
     )

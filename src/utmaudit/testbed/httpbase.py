@@ -22,6 +22,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from . import tokens
 from .certs import CertPaths
 
 
@@ -233,6 +234,22 @@ class JsonHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    def authorized(self, required_scope: str) -> bool:
+        """Whether the request's bearer token passes the service's
+        validator (its ``keys`` and ``policy``); if not, the refusal has
+        been sent."""
+        compact = self.bearer_token()
+        if compact is None:
+            verdict = tokens.Verdict(False, 401, "missing bearer token")
+        else:
+            verdict = tokens.validate(
+                self.service.keys, self.service.policy, compact,
+                required_scope=required_scope,
+            )
+        if not verdict.ok:
+            self.send_json(verdict.status, {"error": verdict.reason})
+        return verdict.ok
 
     def send_redirect(self, location: str) -> None:
         self._discard_unread_body()

@@ -82,13 +82,6 @@ class LogRepoService:
             target = self._records[_BREAK_AT_SEQ - 1]
             target.link = bytes([target.link[0] ^ 0x01]) + target.link[1:]
 
-    def authorize(self, compact, required_scope) -> tokens.Verdict:
-        if compact is None:
-            return tokens.Verdict(False, 401, "missing bearer token")
-        return tokens.validate(
-            self.keys, self.policy, compact, required_scope=required_scope
-        )
-
     def snapshot(self) -> list[dict]:
         with self._lock:
             return [
@@ -125,19 +118,13 @@ class LogRepoService:
 
 
 class LogRepoHandler(JsonHandler):
-    def _deny(self, verdict: tokens.Verdict) -> None:
-        self.send_json(verdict.status, {"error": verdict.reason})
-
     def do_GET(self):
         service: LogRepoService = self.service
         if self.route() != "/records":
             self.send_json(404, {"error": "not found"})
             return
-        if not service.switches.public_log_read:
-            verdict = service.authorize(self.bearer_token(), "logs.read")
-            if not verdict.ok:
-                self._deny(verdict)
-                return
+        if not service.switches.public_log_read and not self.authorized("logs.read"):
+            return
         self.send_json(200, {"records": service.snapshot()})
 
     def do_POST(self):
@@ -145,9 +132,7 @@ class LogRepoHandler(JsonHandler):
         if self.route() != "/records":
             self.send_json(404, {"error": "not found"})
             return
-        verdict = service.authorize(self.bearer_token(), "logs.write")
-        if not verdict.ok:
-            self._deny(verdict)
+        if not self.authorized("logs.write"):
             return
         body = self.read_json()
         if body is None or not isinstance(body.get("fields"), dict):
@@ -177,9 +162,7 @@ class LogRepoHandler(JsonHandler):
         if seq is None:
             self.send_json(404, {"error": "not found"})
             return
-        verdict = service.authorize(self.bearer_token(), "logs.write")
-        if not verdict.ok:
-            self._deny(verdict)
+        if not self.authorized("logs.write"):
             return
         if not service.switches.allow_log_overwrite:
             self.send_json(405, {"error": "records are append-only"})
@@ -200,9 +183,7 @@ class LogRepoHandler(JsonHandler):
         if seq is None:
             self.send_json(404, {"error": "not found"})
             return
-        verdict = service.authorize(self.bearer_token(), "logs.write")
-        if not verdict.ok:
-            self._deny(verdict)
+        if not self.authorized("logs.write"):
             return
         if not service.switches.allow_log_delete:
             self.send_json(405, {"error": "records are append-only"})

@@ -1,220 +1,114 @@
 """In-memory airspace record store with two query routes and at-rest output.
 
 The store keeps ISA-style records (identifier, owner, area, altitude band,
-time window). The parameterized route compares values directly. The
-concatenating route builds a WHERE expression by string splicing and feeds
-it to a small expression evaluator that raises on malformed input, which
-is exactly the behaviour an injection probe detects.
+time window) in one table of an in-memory SQLite database. The
+parameterized route binds the area as a value. The concatenating route
+splices it into the SQL text that SQLite parses, so a malformed area
+raises SQLite's own parser complaint, which is exactly the behaviour an
+injection probe detects.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import sqlite3
+import threading
 from typing import Optional
 
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 PLAINTEXT_MARKER = b"ISA_RECORD"
 
+# Column order is the key order of every record the store returns. The
+# columns declare no type, so SQLite keeps each value's JSON type as sent.
+_COLUMNS = ("id", "owner", "area", "floor_m", "ceiling_m", "window")
+_FIELDS = _COLUMNS[1:]
+_SELECT = f"SELECT {', '.join(_COLUMNS)} FROM isa"
+
 
 class QueryError(Exception):
-    pass
+    """A statement that SQLite refused, with SQLite's own message."""
 
 
-def seed_records() -> list[dict]:
-    rows = []
-    areas = ("zone-a", "zone-a", "zone-b", "zone-c", "zone-a", "zone-b")
-    for n, area in enumerate(areas, start=1):
-        rows.append(
-            {
-                "id": f"isa-{n:03d}",
-                "owner": f"uss-{1 + n % 3}",
-                "area": area,
-                "floor_m": 30 * (n % 4),
-                "ceiling_m": 120 + 30 * (n % 4),
-                "window": f"2026-06-0{n}T08:00Z/2026-06-0{n}T17:00Z",
-            }
+def _record(cursor, row) -> dict:
+    # a field never written is NULL, and a record has no key for it
+    return {name: value for name, value in zip(_COLUMNS, row) if value is not None}
+
+
+# The seeded table, built once per process. A store starts as a page copy
+# of it, which costs a quarter of creating and filling a table anew.
+_SEEDED = sqlite3.connect(":memory:", check_same_thread=False)
+_SEEDED.execute(f"CREATE TABLE isa (id TEXT PRIMARY KEY, {', '.join(_FIELDS)})")
+_SEEDED.executemany(
+    "INSERT INTO isa VALUES (?, ?, ?, ?, ?, ?)",
+    [
+        (f"isa-{n:03d}", f"uss-{1 + n % 3}", area, 30 * (n % 4),
+         120 + 30 * (n % 4), f"2026-06-0{n}T08:00Z/2026-06-0{n}T17:00Z")
+        for n, area in enumerate(
+            ("zone-a", "zone-a", "zone-b", "zone-c", "zone-a", "zone-b"), start=1
         )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# WHERE expression evaluation (concatenating route only)
-# ---------------------------------------------------------------------------
-
-
-def _tokenize(expr: str) -> list[tuple[str, object]]:
-    tokens: list[tuple[str, object]] = []
-    i = 0
-    while i < len(expr):
-        c = expr[i]
-        if c.isspace():
-            i += 1
-            continue
-        if expr.startswith("--", i):
-            break  # comment runs to end of expression
-        if c in ("'", '"'):
-            end = expr.find(c, i + 1)
-            if end < 0:
-                raise QueryError(f"query syntax error near {expr[i:i + 12]!r}")
-            tokens.append(("str", expr[i + 1:end]))
-            i = end + 1
-            continue
-        if c in "()":
-            tokens.append((c, c))
-            i += 1
-            continue
-        if c == "=":
-            tokens.append(("op", "="))
-            i += 1
-            continue
-        if expr.startswith("!=", i) or expr.startswith("<>", i):
-            tokens.append(("op", "!="))
-            i += 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(expr) and expr[j].isdigit():
-                j += 1
-            tokens.append(("num", int(expr[i:j])))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            word = expr[i:j]
-            upper = word.upper()
-            if upper in ("AND", "OR"):
-                tokens.append(("kw", upper))
-            else:
-                tokens.append(("ident", word))
-            i = j
-            continue
-        raise QueryError(f"query syntax error near {expr[i:i + 12]!r}")
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object]], record: dict):
-        self.tokens = tokens
-        self.pos = 0
-        self.record = record
-
-    def _peek(self) -> Optional[tuple[str, object]]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _take(self) -> tuple[str, object]:
-        token = self._peek()
-        if token is None:
-            raise QueryError("query syntax error near end of expression")
-        self.pos += 1
-        return token
-
-    def parse(self) -> bool:
-        result = self._or_expr()
-        if self._peek() is not None:
-            raise QueryError(
-                f"query syntax error near {self._peek()[1]!r}"
-            )
-        return result
-
-    def _or_expr(self) -> bool:
-        value = self._and_expr()
-        while self._peek() == ("kw", "OR"):
-            self._take()
-            value = self._and_expr() or value
-        return value
-
-    def _and_expr(self) -> bool:
-        value = self._factor()
-        while self._peek() == ("kw", "AND"):
-            self._take()
-            value = self._factor() and value
-        return value
-
-    def _factor(self) -> bool:
-        token = self._peek()
-        if token == ("(", "("):
-            self._take()
-            value = self._or_expr()
-            if self._take() != (")", ")"):
-                raise QueryError("query syntax error near '('")
-            return value
-        return self._comparison()
-
-    def _value(self) -> object:
-        kind, value = self._take()
-        if kind in ("str", "num"):
-            return value
-        if kind == "ident":
-            if value not in self.record:
-                raise QueryError(f"query error: no such column {value!r}")
-            return self.record[value]
-        raise QueryError(f"query syntax error near {value!r}")
-
-    def _comparison(self) -> bool:
-        left = self._value()
-        kind, op = self._take()
-        if kind != "op":
-            raise QueryError(f"query syntax error near {op!r}")
-        right = self._value()
-        left, right = _coerce(left, right)
-        return left == right if op == "=" else left != right
-
-
-def _coerce(left: object, right: object) -> tuple[object, object]:
-    # numeric strings compare as numbers, mirroring lax database coercion
-    if isinstance(left, int) and isinstance(right, str) and right.isdigit():
-        return left, int(right)
-    if isinstance(right, int) and isinstance(left, str) and left.isdigit():
-        return int(left), right
-    return left, right
-
-
-def evaluate_where(expr: str, record: dict) -> bool:
-    tokens = _tokenize(expr)
-    if not tokens:
-        raise QueryError("query syntax error near end of expression")
-    return _Parser(tokens, record).parse()
-
-
-# ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
+    ],
+)
+_SEEDED.commit()
 
 
 class IsaStore:
-    def __init__(self, records: Optional[list[dict]] = None):
-        self._records = [dict(r) for r in (records or seed_records())]
+    """One connection, shared by the gateway's worker threads under one
+    lock. Records come back in insertion order; a replaced record keeps
+    its place."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._db = sqlite3.connect(
+            ":memory:", check_same_thread=False, isolation_level=None
+        )
+        _SEEDED.backup(self._db)
+        self._db.row_factory = _record
+
+    @contextlib.contextmanager
+    def _sql(self):
+        with self._lock:
+            try:
+                yield self._db
+            except (sqlite3.Error, sqlite3.Warning) as exc:
+                # sqlite3.Warning is Python 3.10's answer to a second statement
+                raise QueryError(str(exc)) from exc
+
+    def close(self) -> None:
+        with self._lock:
+            self._db.close()
 
     def snapshot(self) -> list[dict]:
-        return [dict(r) for r in self._records]
+        with self._sql() as db:
+            return db.execute(_SELECT).fetchall()
 
     def query_param(self, area: str) -> list[dict]:
-        return [dict(r) for r in self._records if r["area"] == area]
+        with self._sql() as db:
+            return db.execute(_SELECT + " WHERE area = ?", (area,)).fetchall()
 
     def query_concat(self, area: str) -> list[dict]:
-        expr = f"area='{area}'"
-        return [dict(r) for r in self._records if evaluate_where(expr, r)]
+        with self._sql() as db:
+            return db.execute(_SELECT + f" WHERE area = '{area}'").fetchall()
 
     def get(self, isa_id: str) -> Optional[dict]:
-        for record in self._records:
-            if record["id"] == isa_id:
-                return dict(record)
-        return None
+        with self._sql() as db:
+            return db.execute(_SELECT + " WHERE id = ?", (isa_id,)).fetchone()
 
     def put(self, isa_id: str, fields: dict) -> dict:
-        for record in self._records:
-            if record["id"] == isa_id:
-                record.update(fields)
-                record["id"] = isa_id
-                return dict(record)
-        fresh = dict(fields)
-        fresh["id"] = isa_id
-        self._records.append(fresh)
-        return dict(fresh)
+        """Create the record, or update the named fields of the one there.
+        Each value must be a string or a number that SQLite can bind."""
+        names = ("id",) + tuple(name for name in _FIELDS if name in fields)
+        updates = ", ".join(f"{name} = excluded.{name}" for name in names)
+        with self._sql() as db:
+            db.execute(
+                f"INSERT INTO isa ({', '.join(names)}) "
+                f"VALUES ({', '.join('?' * len(names))}) "
+                f"ON CONFLICT(id) DO UPDATE SET {updates}",
+                (isa_id,) + tuple(fields[name] for name in names[1:]),
+            )
+            return db.execute(_SELECT + " WHERE id = ?", (isa_id,)).fetchone()
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,7 @@ def isa_server():
     yield start
     for server in servers:
         server.stop()
+        server.RequestHandlerClass.store.close()
 
 
 def _manifest(port):
@@ -284,6 +285,7 @@ def test_payloads_dropped_at_transport_are_not_assessable(close_after):
         )
     finally:
         server.stop()
+        handler.store.close()
     count = len(load_corpus())
     assert result.status is CheckStatus.NOT_ASSESSABLE
     assert result.evidence == [

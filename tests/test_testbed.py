@@ -14,12 +14,15 @@ from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import rsa
 
 from utmaudit import wire
+from utmaudit.engine import run_audit
 from utmaudit.manifest import ComponentRole
 from utmaudit.oauthaudit import check_oauth, estimate_secret_strength
 from utmaudit.results import CheckStatus
+from utmaudit.sqliprobe import load_corpus
 from utmaudit.testbed import harness, httpbase, tokens
 from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
 from utmaudit.testbed.rawlisteners import RawListener, make_kms
+from utmaudit.testbed.store import IsaStore, QueryError
 from utmaudit.testbed.toggles import (
     PROFILES,
     TOGGLES,
@@ -354,6 +357,31 @@ def test_plaintext_store_toggle_writes_marker():
         tb.stop()
 
 
+def test_the_database_toggles_compose(secure_audit):
+    """All five DB toggles at once fail exactly the union of their matrix
+    entries; every other check keeps its secure verdict."""
+    matrix = load_matrix()
+    db_toggles = [t for t in TOGGLES if matrix[t][0].startswith("DB-")]
+    assert len(db_toggles) == 5
+    union = {c for t in db_toggles for c in matrix[t]}
+    assert union == {"DB-01", "DB-02", "DB-03", "DB-04"}
+    tb = start_testbed(db_toggles)
+    try:
+        report = run_audit(tb.manifest)
+    finally:
+        tb.stop()
+    secure = {r.check_id: r.status for r in secure_audit[0].results}
+    statuses = {r.check_id: r.status for r in report.results}
+    assert {c for c, s in statuses.items() if s is CheckStatus.FAIL} == union
+    assert {c: s for c, s in statuses.items() if c not in union} == {
+        c: s for c, s in secure.items() if c not in union
+    }
+    db04 = next(r for r in report.results if r.check_id == "DB-04")
+    assert db04.evidence == [
+        "db-cluster: declared at-rest algorithm AES-128; required AES-256"
+    ]
+
+
 def test_worm_probes_on_secure(secure, close_after):
     http = close_after(_client(secure))
     write = _mint(secure, http, "logs.write", "logs")
@@ -619,3 +647,98 @@ def test_a_peer_that_left_prints_no_traceback(capsys):
         assert "ValueError: a fault of the service" in capsys.readouterr().err
     finally:
         server.server_close()
+
+
+# ---------------------------------------------------------------------------
+# Airspace store
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def store():
+    with contextlib.closing(IsaStore()) as isa_store:
+        yield isa_store
+
+
+def test_the_bound_area_never_raises(store):
+    for payload in load_corpus():
+        assert store.query_param(payload.rendered("zone-a")) == [], payload.text
+
+
+def test_the_spliced_area_is_parsed_as_sql(store):
+    raised, rows = [], {}
+    for payload in load_corpus():
+        try:
+            rows[payload.text] = len(store.query_concat(payload.rendered("zone-a")))
+        except QueryError as exc:
+            raised.append((payload.text, str(exc)))
+    assert raised == [
+        ("'", 'unrecognized token: "\'\'\'"'),
+        ("')", 'near ")": syntax error'),
+        ("'((", 'near "(": syntax error'),
+        ("' OR", 'unrecognized token: "\'"'),
+    ]
+    flagged = [
+        ("{BASELINE}' AND '1'='1", "{BASELINE}' AND '1'='2"),
+        ("{BASELINE}' AND 1=1 --", "{BASELINE}' AND 1=2 --"),
+        ("{BASELINE}' OR '1'='2", "{BASELINE}' OR '1'='1"),
+    ]
+    assert [(rows[true], rows[false]) for true, false in flagged] == [
+        (3, 0), (3, 0), (3, 6),
+    ]
+    with pytest.raises(QueryError):
+        store.query_concat("zone-a'; SELECT 1 --")  # one statement only
+
+
+def test_a_replaced_record_keeps_its_place_and_its_other_fields(store):
+    before = store.snapshot()
+    record = store.put("isa-002", {"area": "zone-z", "floor_m": 45})
+    assert list(record) == ["id", "owner", "area", "floor_m", "ceiling_m", "window"]
+    assert record == {**before[1], "area": "zone-z", "floor_m": 45}
+    after = store.snapshot()
+    assert [r["id"] for r in after] == [r["id"] for r in before]
+    assert after[1] == record
+    assert store.put("isa-new", {"area": "zone-a", "owner": "t"}) == {
+        "id": "isa-new", "owner": "t", "area": "zone-a",
+    }
+    assert store.snapshot()[-1]["id"] == "isa-new"
+
+
+@pytest.mark.parametrize(
+    "value", [[1], {"a": 1}, True, 2**63], ids=["list", "object", "bool", "int64+1"]
+)
+def test_a_field_sqlite_cannot_hold_as_sent_is_refused(secure, close_after, value):
+    http = close_after(_client(secure))
+    write = _mint(secure, http, "utm.write", "gateway")
+    before = secure.store.snapshot()
+    r = http.request(
+        "PUT", f"https://127.0.0.1:{secure.port(1)}/isa/x",
+        body=json.dumps({"area": "zone-a", "owner": value}).encode(),
+        headers={"Authorization": f"Bearer {write}"},
+    )
+    assert (r.status, r.json()) == (400, {"error": "malformed record"})
+    assert secure.store.snapshot() == before
+
+
+def test_worker_threads_share_one_store(store):
+    errors = []
+
+    def work(n):
+        try:
+            for i in range(40):
+                isa_id = f"t{n}-{i % 5}"
+                store.put(isa_id, {"area": f"zone-{n}", "floor_m": i})
+                assert store.get(isa_id)["area"] == f"zone-{n}"
+                assert len(store.query_param(f"zone-{n}")) == min(i + 1, 5)
+                store.query_concat("zone-a' OR '1'='1")
+                store.snapshot()
+        except Exception as exc:  # reported below, with the thread's number
+            errors.append((n, exc))
+
+    threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert len(store.snapshot()) == 6 + 8 * 5
