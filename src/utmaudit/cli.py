@@ -18,11 +18,11 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__, engine
-from .manifest import ManifestError, manifest_digest, parse_manifest_file
+from . import __version__
+from .manifest import manifest_digest, parse_manifest_file
 from .netprobe import DEFAULT_TIMEOUT_MS
 from .results import CheckStatus
-from .testbed.toggles import PROFILES, TOGGLES, UnknownToggleError
+from .testbed.toggles import PROFILES, TOGGLES
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -109,6 +109,8 @@ def _emit(blob: bytes, out: Optional[str]) -> None:
 
 
 def cmd_scan(args) -> int:
+    from . import engine
+
     manifest = parse_manifest_file(args.manifest)
     selection = None
     if args.checks:
@@ -121,6 +123,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import engine
+
     with open(args.infile, "rb") as fh:
         doc = json.load(fh)
     report = engine.report_from_dict(doc)
@@ -128,7 +132,7 @@ def cmd_report(args) -> int:
     return _exit_code(report)
 
 
-def _exit_code(report: engine.Report) -> int:
+def _exit_code(report) -> int:
     """1 for any Fail; 2 when no check passed and at least one could not be
     assessed, since a clean exit would claim a verdict nothing supports."""
     statuses = {r.status for r in report.results}
@@ -142,6 +146,8 @@ def _exit_code(report: engine.Report) -> int:
 
 
 def cmd_checks(args) -> int:
+    from . import engine
+
     for d in engine.registry():
         print(f"{d.check_id:<9} {d.title}")
     return EXIT_CLEAN
@@ -261,16 +267,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ManifestError,
-        UnknownToggleError,
-        engine.UnknownCheckError,
-        engine.UnknownFormatError,
-        ValueError,
-    ) as exc:
-        print(f"utmaudit: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # manifest, toggle, check-id and format errors are ValueErrors
         print(f"utmaudit: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

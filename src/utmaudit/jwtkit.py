@@ -23,9 +23,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Optional
 
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
-
 from .manifest import (
     ApiAction, ComponentSpec, TargetManifest, Zone, expected_zone, vantage,
 )
@@ -150,25 +147,43 @@ def sign_hs256(signing_input: bytes, key: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 _JWK_PRIVATE_FIELDS = ("d", "p", "q", "dp", "dq", "qi")
+# AlgorithmIdentifier of rsaEncryption (1.2.840.113549.1.1.1), NULL parameters
+_RSA_ENCRYPTION_ID = bytes.fromhex("300d06092a864886f70d0101010500")
+
+
+def _der(tag: int, content: bytes) -> bytes:
+    size = len(content)
+    if size < 0x80:
+        return bytes((tag, size)) + content
+    octets = size.to_bytes((size.bit_length() + 7) // 8, "big")
+    return bytes((tag, 0x80 | len(octets))) + octets + content
+
+
+def _der_uint(value: int) -> bytes:
+    # one more octet than the bits need keeps the sign bit clear
+    return _der(0x02, value.to_bytes(value.bit_length() // 8 + 1, "big"))
 
 
 def jwk_to_public_pem(jwk: dict) -> bytes:
     """RSA JWK (n, e) to the canonical SubjectPublicKeyInfo PEM bytes;
-    TokenError unless n and e are Base64URL text of a usable key."""
+    TokenError unless n and e are Base64URL text of a usable key: n >= 3
+    and an odd e with 3 <= e < n, as RSA libraries require of a public key."""
     if jwk.get("kty") != "RSA":
         raise TokenError(f"not an RSA JWK: kty={jwk.get('kty')!r}")
     n, e = jwk.get("n"), jwk.get("e")
     if not (isinstance(n, str) and isinstance(e, str)):
         raise TokenError("RSA JWK without Base64URL text n and e")
-    try:
-        public_key = rsa.RSAPublicNumbers(
-            int.from_bytes(b64url_decode(e), "big"), int.from_bytes(b64url_decode(n), "big")
-        ).public_key()
-    except ValueError as exc:  # TokenError included
-        raise TokenError(f"unusable RSA JWK: {exc}") from None
-    return public_key.public_bytes(
-        serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo
-    )
+    n, e = (int.from_bytes(b64url_decode(v), "big") for v in (n, e))
+    if n < 3 or not 3 <= e < n or e % 2 == 0:
+        raise TokenError("unusable RSA JWK: need n >= 3 and an odd e, 3 <= e < n")
+    rsa_public_key = _der(0x30, _der_uint(n) + _der_uint(e))  # PKCS#1
+    spki = base64.b64encode(
+        _der(0x30, _RSA_ENCRYPTION_ID + _der(0x03, b"\x00" + rsa_public_key))
+    ).decode("ascii")
+    lines = [spki[i:i + 64] for i in range(0, len(spki), 64)]
+    return "\n".join(
+        ["-----BEGIN PUBLIC KEY-----", *lines, "-----END PUBLIC KEY-----", ""]
+    ).encode("ascii")
 
 
 def jwks_private_fields(jwks: dict) -> list[str]:

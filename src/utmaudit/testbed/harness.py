@@ -4,10 +4,10 @@ One testbed is seven declared components on eight consecutive loopback
 ports, plus a private CA and a client credential pair, generated once per
 process, and a target manifest describing all of it. The TLS server
 contexts are built once per process with that PKI, so the testbeds of one
-process share them, and with them their TLS session-ticket keys; the
-scanner never resumes a session. Restricted services only accept
-connections from the allowlisted source address (a second loopback
-address), which is how the scanner's two network vantages differ.
+process share them; they issue no session tickets, since the scanner never
+resumes a session. Restricted services only accept connections from the
+allowlisted source address (a second loopback address), which is how the
+scanner's two network vantages differ.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import socket
 import ssl
 import string
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -31,7 +32,7 @@ from .certs import CertBundle, CertPaths, make_bundle, write_bundle
 from .gateway import GatewayHandler, GatewayService
 from .httpbase import Listener, TestbedHttpServer, https_context
 from .logrepo import LogRepoHandler, LogRepoService
-from .oauth_server import OAuthConfig, OAuthHandler, OAuthService
+from .oauth_server import OAuthConfig, OAuthHandler, OAuthService, pbkdf2_line
 from .rawlisteners import db_server_context, make_db_node, make_kms
 from .store import IsaStore, write_at_rest
 from .toggles import Switches, toggles_for_profile
@@ -40,6 +41,7 @@ from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicW
 HOST = "127.0.0.1"
 ALLOWLISTED_SOURCE = "127.0.0.2"
 PORT_SPAN = 8
+CLIENT_ID = "auditor-client"
 
 ENTITLED_SCOPES = ("utm.read", "utm.write", "logs.read", "logs.write")
 
@@ -143,6 +145,7 @@ class _Credentials:
     bundle: CertBundle
     keys: tokens.SigningKeys
     strong_secret: str
+    weak_secret: str
     https: ssl.SSLContext
     https_optional_client_cert: ssl.SSLContext  # the oauth-server's
     db_tls13: ssl.SSLContext
@@ -151,18 +154,26 @@ class _Credentials:
 
 @functools.cache
 def _process_credentials() -> _Credentials:
-    """The PKI, its parsed JWT key, the strong client secret and the four
+    """The PKI, its parsed JWT key, the two client secrets and the four
     TLS server contexts built from that PKI: no toggle changes them, so one
     process builds them once for all its testbeds. A context keeps its key
-    and certificates in memory, so the files it loads are removed at once."""
-    bundle = make_bundle()
+    and certificates in memory, so the files it loads are removed at once.
+
+    The strong secret's store line is stretched on a thread while the keys
+    are generated; both release the GIL."""
+    strong_secret = _strong_secret()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        stretched = pool.submit(pbkdf2_line, CLIENT_ID, strong_secret)
+        bundle = make_bundle()
+        stretched.result()
     jwt = (bundle.jwt_private_pem, bundle.jwt_public_pem, bundle.jwt_kid)
     with tempfile.TemporaryDirectory(prefix="utm-pki-") as scratch:
         paths = write_bundle(bundle, scratch)
         return _Credentials(
             bundle=bundle,
             keys=tokens.make_signing_keys(*jwt),
-            strong_secret=_strong_secret(),
+            strong_secret=strong_secret,
+            weak_secret=_weak_secret(),
             https=https_context(paths),
             https_optional_client_cert=https_context(
                 paths, client_cert_mode="optional"
@@ -191,7 +202,7 @@ allowlist = {ALLOWLISTED_SOURCE}
 ca = {paths.ca_cert}
 
 [client]
-client_id = auditor-client
+client_id = {CLIENT_ID}
 client_secret = {client_secret}
 certificate = {paths.client_cert}
 key = {paths.client_key}
@@ -280,7 +291,7 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     creds = _process_credentials()
     paths = write_bundle(creds.bundle, str(workdir / "pki"))
     client_secret = (
-        _weak_secret() if switches.weak_secret else creds.strong_secret
+        creds.weak_secret if switches.weak_secret else creds.strong_secret
     )
 
     # at-rest persistence for the airspace store: the declared algorithm
@@ -305,7 +316,7 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     oauth_service = OAuthService(
         creds.keys,
         OAuthConfig(
-            client_id="auditor-client",
+            client_id=CLIENT_ID,
             client_secret=client_secret,
             entitled_scopes=frozenset(ENTITLED_SCOPES),
             switches=switches,

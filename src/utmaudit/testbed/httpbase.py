@@ -75,9 +75,9 @@ class Listener:
                 self.shutdown_request(request)
                 continue
             try:
-                # Services write a reply in pieces (headers then body, TLS
-                # session tickets then a banner); Nagle would hold the
-                # later piece back for the peer's delayed ACK.
+                # Services write a reply in pieces (headers then body);
+                # Nagle would hold the later piece back for the peer's
+                # delayed ACK.
                 request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self.process_request(request, client_address)
             except Exception:
@@ -139,9 +139,13 @@ def https_context(
     paths: CertPaths, *, client_cert_mode: str = "none"
 ) -> ssl.SSLContext:
     """client_cert_mode: none | optional (optional loads the CA and lets the
-    request handler decide whether a missing peer certificate matters)."""
+    request handler decide whether a missing peer certificate matters).
+    It issues no session ticket, in TLS 1.3 or 1.2: the scanner never
+    resumes a session."""
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     ctx.load_cert_chain(certfile=paths.server_cert, keyfile=paths.server_key)
+    ctx.num_tickets = 0
+    ctx.options |= ssl.OP_NO_TICKET
     if client_cert_mode == "optional":
         ctx.load_verify_locations(cafile=paths.ca_cert)
         ctx.verify_mode = ssl.CERT_OPTIONAL

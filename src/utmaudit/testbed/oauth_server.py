@@ -27,9 +27,9 @@ _DEFAULT_AUDIENCE = "gateway"
 
 
 @functools.cache
-def _pbkdf2_line(client_id: str, secret: str) -> str:
+def pbkdf2_line(client_id: str, secret: str) -> str:
     """The hashed store line, derived once per credential pair in a process:
-    the key stretching dominates a testbed start."""
+    the key stretching is the slowest step of a testbed's first start."""
     salt = secrets.token_hex(8)
     digest = hashlib.pbkdf2_hmac(
         "sha256", secret.encode(), salt.encode(), _PBKDF2_ITERATIONS
@@ -75,7 +75,7 @@ class OAuthService:
         if self.switches.plaintext_secret_store:
             line = f"{self.config.client_id} {self.config.client_secret}\n"
         else:
-            line = _pbkdf2_line(self.config.client_id, self.config.client_secret)
+            line = pbkdf2_line(self.config.client_id, self.config.client_secret)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(line)
 

@@ -65,6 +65,8 @@ def db_server_context(
 ) -> ssl.SSLContext:
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     ctx.load_cert_chain(certfile=paths.server_cert, keyfile=paths.server_key)
+    ctx.num_tickets = 0  # no session ticket, as https_context
+    ctx.options |= ssl.OP_NO_TICKET
     ctx.load_verify_locations(cafile=paths.ca_cert)
     ctx.verify_mode = ssl.CERT_REQUIRED
     if tls12_only:

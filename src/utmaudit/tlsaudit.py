@@ -2,8 +2,7 @@
 
 A posture probe performs up to three handshakes against one endpoint:
 
-1. with the auditor's client certificate, to learn the negotiated version
-   and server identity;
+1. with the auditor's client certificate, to learn the negotiated version;
 2. without any client certificate, to learn whether the server tolerates
    anonymous peers (under TLS 1.3 the certificate_required alert only
    arrives on the first read after the handshake, so the probe must read);
@@ -26,9 +25,6 @@ import socket
 import ssl
 from dataclasses import dataclass
 from typing import Optional
-
-from cryptography import x509
-from cryptography.x509.oid import NameOID
 
 from .manifest import ComponentRole, Endpoint, TargetManifest, vantage
 from .results import CheckResult, Outcome, attempt, fold, judged, unassessable
@@ -53,7 +49,6 @@ class TlsPosture:
     negotiated_version: Optional[str] = None
     client_cert_demand: Optional[ClientCertDemand] = None
     accepts_legacy_offer: Optional[bool] = None
-    server_cert_subject: Optional[str] = None
     plaintext_banner: Optional[bytes] = None
     notes: tuple[str, ...] = ()
 
@@ -67,8 +62,8 @@ def _handshake(
     ctx: ssl.SSLContext,
     source: Optional[str],
     timeout_s: float,
-) -> tuple[str, Optional[bytes], Optional[bytes]]:
-    """Returns (version, peer_cert_der, banner). Raises
+) -> tuple[str, Optional[bytes]]:
+    """Returns (version, banner). Raises
     _HandshakeRejected when the server refuses the offered parameters,
     including post-handshake rejection surfaced on first read."""
     sock = dial(endpoint.host, endpoint.port, source, timeout_s)
@@ -79,7 +74,6 @@ def _handshake(
             raise _HandshakeRejected(str(exc)) from exc
         try:
             version = tls.version() or "unknown"
-            der = tls.getpeercert(binary_form=True)
             tls.settimeout(BANNER_WAIT_S)
             try:
                 banner: Optional[bytes] = tls.recv(256)
@@ -92,7 +86,7 @@ def _handshake(
                 raise _HandshakeRejected(str(exc)) from exc
             if banner == b"":
                 raise _HandshakeRejected("connection closed before any data")
-            return version, der, banner
+            return version, banner
         finally:
             tls.close()
     finally:
@@ -119,17 +113,6 @@ def _plaintext_peek(
         sock.close()
 
 
-def _subject_cn(der: Optional[bytes]) -> Optional[str]:
-    if not der:
-        return None
-    try:
-        cert = x509.load_der_x509_certificate(der)
-        attrs = cert.subject.get_attributes_for_oid(NameOID.COMMON_NAME)
-        return attrs[0].value if attrs else cert.subject.rfc4514_string()
-    except Exception:
-        return None
-
-
 def probe_tls(
     endpoint: Endpoint,
     ca_path: Optional[str] = None,
@@ -141,7 +124,7 @@ def probe_tls(
 ) -> TlsPosture:
     notes: list[str] = []
     try:
-        version, der, banner_with = _handshake(
+        version, banner_with = _handshake(
             endpoint, client_context(ca_path, cert, key), source, timeout_s
         )
     except _HandshakeRejected as exc:
@@ -161,7 +144,7 @@ def probe_tls(
 
     # anonymous handshake: must read to surface deferred rejection
     try:
-        _, _, banner_without = _handshake(
+        _, banner_without = _handshake(
             endpoint, client_context(ca_path), source, timeout_s
         )
         anonymous_accepted = True
@@ -183,7 +166,7 @@ def probe_tls(
         demand = ClientCertDemand.NOT_REQUESTED
 
     try:
-        legacy_version, _, _ = _handshake(
+        legacy_version, _ = _handshake(
             endpoint, client_context(ca_path, cert, key, tls12_max=True),
             source, timeout_s,
         )
@@ -198,7 +181,6 @@ def probe_tls(
         negotiated_version=version,
         client_cert_demand=demand,
         accepts_legacy_offer=accepts_legacy,
-        server_cert_subject=_subject_cn(der),
         notes=tuple(notes),
     )
 

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, output shapes, testbed lifecycle."""
 
+import ast
 import json
 import os
+import pathlib
 import re
 import signal
 import socket
@@ -274,3 +276,59 @@ def test_testbed_up_stops_cleanly_on_immediate_sigterm(tmp_path):
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+# The scanner and the testbed share nothing but wire formats: a process that
+# only scans loads no `cryptography`, and one that only runs the testbed
+# loads no scanner module.
+
+_PACKAGE = pathlib.Path(cli.__file__).parent
+_SCANNER_ONLY = ("engine", "jwtkit", "tlsaudit", "oauthaudit", "logaudit", "sqliprobe")
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules that a fresh interpreter has loaded after ``code``."""
+    path = os.pathsep.join(
+        p for p in (str(_PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_no_scanner_module_imports_cryptography():
+    stray = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            stray += [(path.name, node.lineno, name) for name in names
+                      if name.split(".")[0] == "cryptography"]
+    assert stray == []
+
+
+def test_a_scan_loads_no_cryptography(secure_testbed, tmp_path):
+    out = tmp_path / "report.json"
+    modules = _modules_after(
+        "from utmaudit import cli\n"
+        f"assert cli.main(['scan', '--manifest', {secure_testbed.manifest_path!r}, "
+        f"'--format', 'json', '--out', {str(out)!r}]) == 0"
+    )
+    assert "utmaudit.engine" in modules
+    assert [m for m in modules if m.split(".")[0] == "cryptography"] == []
+    assert json.loads(out.read_text())["results"]
+
+
+def test_the_testbed_loads_no_scanner_module():
+    modules = _modules_after("import utmaudit.cli, utmaudit.testbed.harness")
+    assert "cryptography" in modules
+    assert [m for m in _SCANNER_ONLY if f"utmaudit.{m}" in modules] == []

@@ -289,6 +289,34 @@ def test_jwk_without_usable_n_e_raises_token_error(jwk):
         jwk_to_public_pem(jwk)
 
 
+def _uint_b64url(value: int, pad: int) -> str:
+    return b64url_encode(bytes(pad) + value.to_bytes((value.bit_length() + 7) // 8, "big"))
+
+
+_RSA_INTS = st.one_of(st.integers(0, 2 ** 17), st.integers(0, 2 ** 4100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_RSA_INTS, e=_RSA_INTS, pad=st.integers(0, 2))
+def test_jwk_to_public_pem_agrees_with_the_rsa_library(n, e, pad):
+    """The scanner's own DER encoding gives the PEM that the RSA library
+    gives, and refuses exactly the keys that the library refuses, so the
+    same JWKs are usable and JWT-07's HMAC key is byte-identical."""
+    try:
+        expected = rsa.RSAPublicNumbers(e, n).public_key().public_bytes(
+            serialization.Encoding.PEM,
+            serialization.PublicFormat.SubjectPublicKeyInfo,
+        )
+    except ValueError:
+        expected = None
+    jwk = {"kty": "RSA", "n": _uint_b64url(n, pad), "e": _uint_b64url(e, pad)}
+    if expected is None:
+        with pytest.raises(TokenError):
+            jwk_to_public_pem(jwk)
+    else:
+        assert jwk_to_public_pem(jwk) == expected
+
+
 def test_jwks_private_field_detection(rsa_key):
     clean = {"keys": [_jwk_entry(rsa_key)]}
     assert jwks_private_fields(clean) == []

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -20,6 +21,7 @@ from utmaudit.oauthaudit import check_oauth, estimate_secret_strength
 from utmaudit.results import CheckStatus
 from utmaudit.sqliprobe import load_corpus
 from utmaudit.testbed import harness, httpbase, tokens
+from utmaudit.testbed.certs import write_bundle
 from utmaudit.testbed.harness import PORT_SPAN, find_free_port_base, start_testbed
 from utmaudit.testbed.rawlisteners import RawListener, make_kms
 from utmaudit.testbed.store import IsaStore, QueryError
@@ -475,6 +477,94 @@ def test_weak_secret_always_shows_the_full_hex_alphabet():
     for _ in range(200):
         strength = estimate_secret_strength(harness._weak_secret())
         assert (strength.charset_size, strength.estimated_bits) == (16, 40.0)
+
+
+_STRETCHED_LINE = re.compile(
+    r"auditor-client pbkdf2_sha256\$210000\$([0-9a-f]{16})\$([0-9a-f]{64})\n"
+)
+
+
+def _secret_store(tb) -> str:
+    path = tb.manifest.oauth_server().storage_path
+    return pathlib.Path(path).read_text(encoding="utf-8")
+
+
+def _assert_stretched(tb):
+    """The store line is a PBKDF2 hash that verifies against the client
+    secret that the manifest declares."""
+    secret = tb.manifest.oauth_client.client_secret
+    assert secret == tb.client_secret
+    match = _STRETCHED_LINE.fullmatch(_secret_store(tb))
+    assert match, _secret_store(tb)
+    salt, digest = match.groups()
+    assert hashlib.pbkdf2_hmac(
+        "sha256", secret.encode(), salt.encode(), 210000
+    ).hex() == digest
+
+
+def test_the_secret_store_holds_a_stretched_client_secret(secure):
+    _assert_stretched(secure)
+
+
+def test_weak_secret_testbeds_store_their_own_secret_stretched(secure):
+    """The weak secret, like the strong one, is drawn once per process."""
+    first = start_testbed(("weak-secret",))
+    try:
+        second = start_testbed(("weak-secret",))
+        try:
+            assert first.client_secret != secure.client_secret
+            assert len(first.client_secret) == 10
+            assert second.client_secret == first.client_secret
+            _assert_stretched(first)
+            assert _secret_store(second) == _secret_store(first)
+        finally:
+            second.stop()
+    finally:
+        first.stop()
+
+
+def test_plaintext_secret_store_writes_the_secret_as_it_is():
+    tb = start_testbed(("plaintext-secret-store",))
+    try:
+        assert _secret_store(tb) == f"auditor-client {tb.client_secret}\n"
+        assert tb.manifest.oauth_client.client_secret == tb.client_secret
+    finally:
+        tb.stop()
+
+
+@pytest.mark.parametrize("context, offered", [
+    ("https", "TLSv1_3"),
+    ("https", "TLSv1_2"),
+    ("https_optional_client_cert", "TLSv1_3"),
+    ("https_optional_client_cert", "TLSv1_2"),
+    ("db_tls13", "TLSv1_3"),
+    ("db_tls12", "TLSv1_2"),
+])
+def test_no_server_context_issues_a_session_ticket(tmp_path, context, offered):
+    """The scanner never resumes a session, so a handshake with any of the
+    testbed's server contexts leaves the client without a ticket."""
+    creds = harness._process_credentials()
+    paths = write_bundle(creds.bundle, str(tmp_path))
+    client_ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
+    client_ctx.check_hostname = False
+    client_ctx.load_verify_locations(paths.ca_cert)
+    client_ctx.load_cert_chain(paths.client_cert, paths.client_key)
+    client_ctx.maximum_version = ssl.TLSVersion[offered]
+    to_server, to_client = ssl.MemoryBIO(), ssl.MemoryBIO()
+    client = client_ctx.wrap_bio(to_client, to_server)
+    server_in, server_out = ssl.MemoryBIO(), ssl.MemoryBIO()
+    server = getattr(creds, context).wrap_bio(server_in, server_out, server_side=True)
+    for _ in range(5):
+        for end in (client, server):
+            with contextlib.suppress(ssl.SSLWantReadError):
+                end.do_handshake()
+        server_in.write(to_server.read())
+        to_client.write(server_out.read())
+    # a TLS 1.3 ticket arrives after the handshake: read to take it in
+    with contextlib.suppress(ssl.SSLWantReadError):
+        client.read(1)
+    assert client.version() == offered.replace("_", ".")
+    assert not client.session.has_ticket
 
 
 def _jwks_kid(tb):

@@ -54,7 +54,6 @@ def test_strict_node_posture(pki):
     assert posture.negotiated_version == "TLSv1.3"
     assert posture.client_cert_demand is ClientCertDemand.REQUIRED
     assert posture.accepts_legacy_offer is False
-    assert posture.server_cert_subject == "testbed"
 
 
 def test_plaintext_node_detected(pki):
