@@ -49,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--format", choices=("json", "text"), default="text")
     scan.add_argument("--out", help="write the report here instead of stdout")
     scan.add_argument(
-        "--probe-timeout-ms", type=int, default=DEFAULT_TIMEOUT_MS,
-        help=f"TCP probe timeout (default {DEFAULT_TIMEOUT_MS})",
+        "--probe-timeout-ms", type=_milliseconds, default=DEFAULT_TIMEOUT_MS,
+        help="connect timeout of NET's reachability probes, at least 1 "
+             f"(default {DEFAULT_TIMEOUT_MS}); other probes keep their own",
     )
     scan.set_defaults(func=cmd_scan)
 
@@ -97,6 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_validate)
 
     return parser
+
+
+def _milliseconds(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _emit(blob: bytes, out: Optional[str]) -> None:

@@ -1,7 +1,9 @@
 """The one dialer of every probe, and HTTP/TLS transport for probes.
 
-`dial` opens every TCP connection and `client_context` builds every TLS client
-context that `HttpClient`, `netprobe` and `tlsaudit` use. A context is built
+`Dialing` makes every TCP connect: `dial` waits on one for a blocking
+connection, and NET's sweep keeps all its probes in flight at once on one
+selector. `client_context` builds every TLS client context that
+`HttpClient`, `netprobe` and `tlsaudit` use. A context is built
 once per process for each set of credential bytes (CA, certificate and key)
 and shared by every caller that loads the same bytes, so callers must not
 change one. A vantage is the source address that `manifest.vantage` picks: an
@@ -42,14 +44,16 @@ import functools
 import http.client
 import io
 import json
+import os
 import pathlib
+import select
 import socket
 import ssl
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NoReturn, Optional, Union
 
 DEFAULT_TIMEOUT_S = 5.0
 # Far above the largest body a scan reads: the testbed's whole log listing.
@@ -74,24 +78,105 @@ class SourceUnavailable(WireError):
     """The source address of a vantage cannot be bound on this host."""
 
 
+def resolve(host: str) -> Union[list[tuple], OSError]:
+    """The stream addresses of ``host`` in getaddrinfo's order, with port 0
+    (`Dialing` fills in the port), or the error that says why it has none."""
+    try:
+        return socket.getaddrinfo(host, 0, 0, socket.SOCK_STREAM)
+    except OSError as exc:
+        return exc
+
+
 def dial(
     host: str, port: int, source: Optional[str], timeout_s: float
 ) -> socket.socket:
     """One TCP connection to ``host:port`` from the source address
-    ``source``, or from the host's default source address for None. A source
-    the host cannot bind raises SourceUnavailable; any other failure raises
-    its OSError."""
-    try:
-        return socket.create_connection(
-            (host, port), timeout=timeout_s,
-            source_address=(source, 0) if source else None,
-        )
-    except OSError as exc:
-        if source and exc.errno in (errno.EADDRNOTAVAIL, errno.EINVAL):
-            raise SourceUnavailable(
-                f"cannot bind source address {source}: {exc}"
-            ) from exc
-        raise
+    ``source``, or from the host's default source address for None: a
+    `Dialing` waited on, ``timeout_s`` for each address. The socket it
+    returns has ``timeout_s`` as its timeout. A source the host cannot bind
+    raises SourceUnavailable; any other failure raises its OSError."""
+    dialing = Dialing(resolve(host), port, source)
+    poller = select.poll()
+    while True:
+        poller.register(dialing.sock, select.POLLOUT)
+        writable = bool(poller.poll(max(timeout_s, 0.0) * 1000))
+        poller.unregister(dialing.sock)
+        sock = dialing.advance(writable)
+        if sock is not None:
+            sock.settimeout(timeout_s)
+            return sock
+
+
+def _dial_failed(exc: OSError, source: Optional[str]) -> NoReturn:
+    """Raise ``exc``, or SourceUnavailable when it says that ``source``
+    cannot be bound."""
+    if source and exc.errno in (errno.EADDRNOTAVAIL, errno.EINVAL):
+        raise SourceUnavailable(
+            f"cannot bind source address {source}: {exc}"
+        ) from exc
+    raise exc
+
+
+class Dialing:
+    """One TCP connect in flight without blocking, for `dial` and for a
+    caller that waits on many sockets at once. It tries ``addresses`` (what
+    `resolve` returned) at ``port`` in order, as `socket.create_connection`
+    does, each from the source address ``source`` and with its own timeout,
+    kept by the caller.
+
+    ``sock`` is the non-blocking socket whose connect is in flight. Once it
+    is writable, or its timeout has passed, `advance` returns it connected,
+    or tries the next address and returns None. Once no address is left,
+    the constructor or `advance` raises SourceUnavailable when ``source``
+    cannot be bound, or else the last address's OSError (TimeoutError for
+    a timeout). A host that did not resolve raises its lookup error."""
+
+    def __init__(
+        self,
+        addresses: Union[list[tuple], OSError],
+        port: int,
+        source: Optional[str],
+    ):
+        if isinstance(addresses, OSError):
+            raise addresses.with_traceback(None)  # shared by the host's probes
+        self.port = port
+        self.source = source
+        self.sock: Optional[socket.socket] = None
+        self._addresses = iter(addresses)
+        self._next(OSError("getaddrinfo returns an empty list"))
+
+    def advance(self, writable: bool) -> Optional[socket.socket]:
+        if not writable:
+            self._next(TimeoutError("timed out"))
+            return None
+        code = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if code == 0:
+            return self.sock
+        self._next(OSError(code, os.strerror(code)))
+        return None
+
+    def _next(self, error: OSError) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+        for family, kind, proto, _, address in self._addresses:
+            sock = None
+            try:
+                sock = socket.socket(family, kind, proto)
+                sock.setblocking(False)
+                if self.source:
+                    sock.bind((self.source, 0))
+                code = sock.connect_ex((address[0], self.port, *address[2:]))
+                if code not in (0, errno.EINPROGRESS):
+                    raise OSError(code, os.strerror(code))
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                error = exc
+                continue
+            self.sock = sock
+            return
+        _dial_failed(error, self.source)
 
 
 def client_context(

@@ -237,7 +237,7 @@ def _closed_port() -> int:
         return sock.getsockname()[1]
 
 
-def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
+def _closed_manifest(tmp_path) -> pathlib.Path:
     manifest = tmp_path / "closed.manifest"
     manifest.write_text(
         "[target]\nmode = remote\n\n"
@@ -248,6 +248,11 @@ def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
         "audience = gw\nread = GET /records scope=read\n\n"
         f"[component db]\nrole = DbNode\nendpoints = tcp://127.0.0.1:{_closed_port()}\n"
     )
+    return manifest
+
+
+def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
+    manifest = _closed_manifest(tmp_path)
     report = tmp_path / "report.json"
     rc = cli.main(
         ["scan", "--manifest", str(manifest), "--checks", "DB-01,JWT-06",
@@ -257,6 +262,30 @@ def test_scan_that_assessed_nothing_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("utmaudit: ")
     doc = json.loads(report.read_text())
     assert [r["status"] for r in doc["results"]] == ["NotAssessable", "NotAssessable"]
+
+
+def test_a_deployment_that_answers_nothing_leaves_net01_not_assessable(tmp_path):
+    report = tmp_path / "report.json"
+    rc = cli.main(
+        ["scan", "--manifest", str(_closed_manifest(tmp_path)), "--checks", "NET-01",
+         "--format", "json", "--out", str(report)]
+    )
+    assert rc == 2
+    [net01] = json.loads(report.read_text())["results"]
+    assert net01["status"] == "NotAssessable"
+    assert net01["evidence"][-2].startswith("no endpoint reachable from any vantage")
+    assert net01["evidence"][-1].startswith("allowlisted-source verification")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_a_probe_timeout_below_one_ms_is_a_usage_error(tmp_path, capsys, value):
+    # argparse refuses the value before the manifest is read
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["scan", "--manifest", str(tmp_path / "unread.manifest"),
+                  "--probe-timeout-ms", value])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--probe-timeout-ms: must be at least 1, not {value}" in err
 
 
 def test_testbed_up_stops_cleanly_on_immediate_sigterm(tmp_path):

@@ -225,8 +225,8 @@ def test_single_check_selection_runs_only_that_check(secure_testbed):
 
 
 def test_unreachable_target_reports_conditional_skips_and_no_false_passes():
-    # closed local ports: every probe fails fast, nothing should Pass
-    # except NET-01, where refusing external traffic is the wanted posture
+    # closed local ports: every probe fails fast and nothing may Pass, not
+    # even NET-01, since a deployment that is down refuses everyone
     manifest = synthetic_manifest(
         "certificate = /tmp/client.crt\nkey = /tmp/client.key\n",
         component_lines=(
@@ -252,8 +252,6 @@ def test_unreachable_target_reports_conditional_skips_and_no_false_passes():
         assert by_id[check_id].status is CheckStatus.SKIPPED, check_id
         assert by_id[check_id].evidence
     for result in report.results:
-        if result.check_id == "NET-01":
-            continue
         assert result.status is not CheckStatus.PASS, result.check_id
 
 

@@ -1,9 +1,12 @@
+import ast
+import pathlib
 import socket
 import threading
 import time
 
 import pytest
 
+from utmaudit import netprobe
 from utmaudit.manifest import Endpoint, parse_manifest
 from utmaudit.netprobe import (
     CONFIRM_SETTLE_FACTOR,
@@ -14,6 +17,7 @@ from utmaudit.netprobe import (
     probe_reachability,
 )
 from utmaudit.results import CheckStatus
+from utmaudit.wire import SourceUnavailable
 
 
 class _Listener:
@@ -240,24 +244,40 @@ def _closed_port():
     return port
 
 
-def _kms_zones(listener):
-    manifest = parse_manifest(f"""\
+def _silent_listener():
+    """A listening socket that never accepts: the kernel completes each
+    connect, and the peer never sends a byte."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(8)
+    return sock
+
+
+_HEAD = b"""\
 [target]
 mode = remote
 
 [client]
 client_id = auditor
 client_secret = 0123456789abcdef0123456789abcdef0123456789abcdef
+"""
 
+
+def _kms_zones(listener):
+    auth = _silent_listener()  # a public service that is up
+    try:
+        manifest = parse_manifest(_HEAD + f"""
 [component auth]
 role = OAuthServer
-endpoints = https://127.0.0.1:{_closed_port()}
+endpoints = https://127.0.0.1:{auth.getsockname()[1]}
 
 [component kms]
 role = KeyManagement
 endpoints = tcp://127.0.0.1:{listener.port}
 """.encode())
-    net01, _ = check_zones(manifest, settle_ms=_SETTLE_MS)
+        net01, _ = check_zones(manifest, settle_ms=_SETTLE_MS)
+    finally:
+        auth.close()
     kms_line = f"kms tcp://127.0.0.1:{listener.port} from external"
     return net01, [line for line in net01.evidence if line.startswith(kms_line)]
 
@@ -301,6 +321,106 @@ def test_restricted_endpoint_that_answers_fails_net01_without_the_long_settle():
     assert len(lines) == 1 and lines[0].endswith(": reachable")
     assert len(listener.received) == 2
     assert elapsed < CONFIRM_SETTLE_FACTOR * _SETTLE_MS / 1000 / 2
+
+
+# ---------------------------------------------------------------------------
+# The sweep: every probe in flight at once
+# ---------------------------------------------------------------------------
+
+
+def test_forty_silent_restricted_endpoints_take_one_settle_and_one_confirmation():
+    # every probe waits out its whole settle window and then its whole
+    # confirmation window; probed 16 at a time they would take 3 of each
+    auth, *dbs = listeners = [_silent_listener() for _ in range(41)]
+    try:
+        manifest = parse_manifest(_HEAD + "".join([
+            "\n[component auth]\nrole = OAuthServer\n"
+            f"endpoints = https://127.0.0.1:{auth.getsockname()[1]}\n",
+            *(f"\n[component db{i}]\nrole = DbNode\n"
+              f"endpoints = tcp://127.0.0.1:{sock.getsockname()[1]}\n"
+              for i, sock in enumerate(dbs)),
+        ]).encode())
+        start = time.monotonic()
+        net01, _ = check_zones(manifest, settle_ms=_SETTLE_MS)
+        elapsed = time.monotonic() - start
+    finally:
+        for sock in listeners:
+            sock.close()
+    assert net01.status is CheckStatus.FAIL
+    assert sum(line.endswith(": reachable") for line in net01.evidence) == 40
+    windows = (1 + CONFIRM_SETTLE_FACTOR) * _SETTLE_MS / 1000
+    assert windows <= elapsed < 2 * windows
+
+
+def test_a_named_host_is_looked_up_once_before_any_probe_starts(monkeypatch):
+    # a slow resolver must neither run per probe nor eat into any probe's
+    # connect deadline or settle window
+    lookup_s = 0.5
+    lookups = []
+
+    def slow_lookup(host, port, *args):
+        lookups.append(host)
+        time.sleep(lookup_s)
+        return [(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "",
+                 ("127.0.0.1", port))]
+
+    auth, db = _silent_listener(), _silent_listener()
+    kms = _Listener(_drop_immediately)  # refused only by the silent re-probe
+    monkeypatch.setattr(socket, "getaddrinfo", slow_lookup)
+    try:
+        manifest = parse_manifest(_HEAD + f"""
+[component auth]
+role = OAuthServer
+endpoints = https://utm.test:{auth.getsockname()[1]}
+
+[component kms]
+role = KeyManagement
+endpoints = tcp://utm.test:{kms.port}
+
+[component db]
+role = DbNode
+endpoints = tcp://utm.test:{db.getsockname()[1]}
+""".encode())
+        observations, _ = netprobe.collect_observations(
+            manifest, settle_ms=_SETTLE_MS
+        )
+    finally:
+        auth.close()
+        db.close()
+        kms.close()
+    assert lookups == ["utm.test"]  # the re-probe and confirmation reuse it
+    outcomes = {obs.component_id: obs for obs in observations}
+    assert outcomes["auth"].outcome is Outcome.CONNECT_OK
+    assert outcomes["kms"].outcome is Outcome.CONNECT_REFUSED
+    assert outcomes["db"].outcome is Outcome.CONNECT_OK  # after its confirmation
+    assert outcomes["auth"].elapsed_ms < lookup_s * 1000
+    assert outcomes["kms"].elapsed_ms < lookup_s * 1000
+
+
+def test_netprobe_starts_no_threads():
+    tree = ast.parse(pathlib.Path(netprobe.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert not imported & {"threading", "_thread", "concurrent", "concurrent.futures"}
+
+
+def test_a_source_the_host_cannot_bind_is_unavailable():
+    # 192.0.2.0/24 is reserved for documentation, so no host holds it; the
+    # bind fails before any packet leaves
+    ep = Endpoint(host="127.0.0.1", port=_closed_port(), scheme="tcp")
+    with pytest.raises(SourceUnavailable, match="192.0.2.1"):
+        probe_reachability(ep, "192.0.2.1")
+
+
+@pytest.mark.parametrize("timeout_ms", [0, -1])
+def test_a_probe_timeout_below_one_ms_is_rejected(timeout_ms):
+    with pytest.raises(ValueError, match="at least 1 ms"):
+        check_zones(_manifest(), timeout_ms=timeout_ms)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +526,20 @@ def test_overrestricted_component_warns_without_failing():
     net01, _ = classify_observations(m, observations, allowlist_usable=True)
     assert net01.status is CheckStatus.PASS
     assert any("over-restriction" in line for line in net01.evidence)
+
+
+def test_no_endpoint_reachable_from_any_vantage_leaves_net01_not_assessable():
+    m = _manifest()
+    observations = [
+        _obs("auth", 8440, "external", Outcome.CONNECT_REFUSED),
+        _obs("gw", 8441, "external", Outcome.TIMEOUT),
+        _obs("db", 8446, "external", Outcome.CONNECT_REFUSED),
+        _obs("db", 8446, "allowlisted:127.0.0.2", Outcome.CONNECT_REFUSED),
+    ]
+    net01, net02 = classify_observations(m, observations, allowlist_usable=True)
+    assert net01.status is CheckStatus.NOT_ASSESSABLE
+    assert net01.evidence[-1].startswith("no endpoint reachable from any vantage")
+    assert net02.status is CheckStatus.FAIL
 
 
 def test_classification_deterministic_on_replay():

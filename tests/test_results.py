@@ -93,7 +93,7 @@ _TRANSPORT_HANDLERS = {
     ("jwtkit.py", "_rejects_anonymous"),  # unsent pre-check keeps the service in
     ("sqliprobe.py", "fetch"),  # DB-02 counts dropped payloads into one line
     ("netprobe.py", "_connect_and_read"),  # NET: refused, timed out or silent
-    ("netprobe.py", "run"),  # NET: an allowlisted source the host cannot bind
+    ("netprobe.py", "advance"),  # NET: an allowlisted source the host cannot bind
     ("netprobe.py", "_client_hello"),  # NET: the ClientHello written in memory
     ("tlsaudit.py", "_handshake"),  # DB-01: handshake refused or banner withheld
     ("tlsaudit.py", "_plaintext_peek"),  # DB-01: no plaintext banner

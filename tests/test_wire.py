@@ -466,6 +466,47 @@ def test_an_allowlisted_source_the_host_cannot_bind_is_not_assessable(secure_tes
         assert len(set(result.evidence)) == len(result.evidence), check_id
 
 
+def test_dial_moves_past_addresses_it_cannot_open_or_connect_to(monkeypatch):
+    """As create_connection does, an address whose socket cannot be made
+    (here an address family the host lacks) or whose connect is refused
+    gives way to the next one, and the first that accepts is used."""
+    first = socket.create_server(("127.0.0.1", 0))
+    second = socket.create_server(("127.0.0.1", 0))
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        refused = closed.getsockname()
+    unsupported_family = 255
+    monkeypatch.setattr(socket, "getaddrinfo", lambda *args: [
+        (unsupported_family, socket.SOCK_STREAM, 0, "", ("203.0.113.1", 0)),
+        *((socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP, "", address)
+          for address in (refused, first.getsockname(), second.getsockname())),
+    ])
+    try:
+        # each address's own port is replaced with the port dialled
+        with wire.dial("ordered.test", first.getsockname()[1], None, 2.0) as sock:
+            assert sock.getpeername() == first.getsockname()
+            assert sock.gettimeout() == 2.0
+    finally:
+        first.close()
+        second.close()
+
+
+def test_dial_raises_the_last_address_error_or_the_lookup_error(monkeypatch):
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))
+        port = closed.getsockname()[1]
+    with pytest.raises(ConnectionRefusedError):
+        wire.dial("127.0.0.1", port, None, 2.0)
+    lookup_failed = socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    def unresolvable(*args):
+        raise lookup_failed
+
+    monkeypatch.setattr(socket, "getaddrinfo", unresolvable)
+    with pytest.raises(socket.gaierror):
+        wire.dial("nowhere.test", port, None, 2.0)
+
+
 # Calls that open a connection or build a TLS client context of their own.
 _OWN_TRANSPORT = {
     ("socket", "create_connection"), ("socket", "socket"),
