@@ -35,10 +35,6 @@ class LogRecord:
 class LogChain:
     records: tuple
 
-    @property
-    def head(self) -> bytes:
-        return self.records[-1].link if self.records else GENESIS
-
 
 @dataclass(frozen=True)
 class VerificationReport:

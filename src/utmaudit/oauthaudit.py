@@ -9,10 +9,11 @@ union of the character classes it exhibits.
 
 from __future__ import annotations
 
-import functools
 import math
 import string
+import threading
 import urllib.parse
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Collection, Optional
 
@@ -164,13 +165,16 @@ def make_mint(manifest: TargetManifest, http: HttpClient) -> jwtkit.MintFn:
     mint(scope, audience, lifetime_s, iat_offset_s) returns the issued token
     or raises: TokenRefused naming the server's answer, or the request's own
     WireError. Each distinct request goes out at most once per scan, and a
-    failure is remembered like a token. lifetime_s and iat_offset_s shape
-    issuance on an audit fixture; a caller checks audit_fixture first.
+    failure is remembered like a token: the first caller of a request sends
+    it, and a concurrent caller of the same one waits for its outcome, while
+    different requests go out in parallel. lifetime_s and iat_offset_s
+    shape issuance on an audit fixture; a caller checks audit_fixture first.
     """
     server = manifest.oauth_server()
     client = manifest.oauth_client
+    outcomes: dict[tuple, Future] = {}
+    guard = threading.Lock()
 
-    @functools.cache
     def issued(scope, audience, lifetime_s, iat_offset_s):
         extra = {}
         if lifetime_s is not None:
@@ -197,7 +201,19 @@ def make_mint(manifest: TargetManifest, http: HttpClient) -> jwtkit.MintFn:
 
     def mint(scope=None, audience=None, lifetime_s=None,
              iat_offset_s=None) -> jwtkit.SignedToken:
-        outcome = issued(scope, audience, lifetime_s, iat_offset_s)
+        key = (scope, audience, lifetime_s, iat_offset_s)
+        with guard:
+            pending = outcomes.get(key)
+            first = pending is None
+            if first:
+                pending = outcomes[key] = Future()
+        if first:
+            try:
+                pending.set_result(issued(*key))
+            except BaseException as exc:  # no waiter may hang on it
+                pending.set_exception(exc)
+                raise
+        outcome = pending.result()
         if isinstance(outcome, WireError):
             raise outcome
         return outcome

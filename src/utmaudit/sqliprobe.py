@@ -142,19 +142,12 @@ def _request(
     value: str,
     token: Optional[str],
 ):
-    endpoint = comp.endpoints[0]
-    query = urllib.parse.urlencode({target.param: value})
-    if target.method.upper() in ("GET", "HEAD"):
-        url = endpoint.url(target.path) + "?" + query
-        body = None
-        headers = []
-    else:
-        url = endpoint.url(target.path)
-        body = query.encode()
-        headers = [("Content-Type", "application/x-www-form-urlencoded")]
-    if token:
-        headers = list(headers) + [("Authorization", f"Bearer {token}")]
-    return http.request(target.method.upper(), url, body=body, headers=headers)
+    url = comp.primary_endpoint().url(target.path)
+    headers = {"Authorization": f"Bearer {token}"} if token else None
+    if target.method in ("GET", "HEAD"):
+        query = urllib.parse.urlencode({target.param: value})
+        return http.request(target.method, f"{url}?{query}", headers=headers)
+    return http.request(target.method, url, form={target.param: value}, headers=headers)
 
 
 def scan_inject_target(
@@ -166,7 +159,7 @@ def scan_inject_target(
 ) -> list[Outcome]:
     """DB-02's outcomes for one injection target. With a mint, every
     request carries a token for the component's read action."""
-    label = f"{comp.id} {target.method.upper()} {target.path} param {target.param}"
+    label = f"{comp.id} {target.method} {target.path} param {target.param}"
 
     def scan() -> list[Outcome]:
         token = None

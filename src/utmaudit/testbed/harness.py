@@ -30,10 +30,10 @@ from ..manifest import TargetManifest, parse_manifest
 from . import tokens
 from .certs import CertBundle, CertPaths, make_bundle, write_bundle
 from .gateway import GatewayHandler, GatewayService
-from .httpbase import Listener, TestbedHttpServer, https_context
+from .httpbase import Listener, TestbedHttpServer, server_context
 from .logrepo import LogRepoHandler, LogRepoService
 from .oauth_server import OAuthConfig, OAuthHandler, OAuthService, pbkdf2_line
-from .rawlisteners import db_server_context, make_db_node, make_kms
+from .rawlisteners import make_db_node, make_kms
 from .store import IsaStore, write_at_rest
 from .toggles import Switches, toggles_for_profile
 from .webapps import AdminWebHandler, AdminWebService, PublicWebHandler, PublicWebService
@@ -174,12 +174,10 @@ def _process_credentials() -> _Credentials:
             keys=tokens.make_signing_keys(*jwt),
             strong_secret=strong_secret,
             weak_secret=_weak_secret(),
-            https=https_context(paths),
-            https_optional_client_cert=https_context(
-                paths, client_cert_mode="optional"
-            ),
-            db_tls13=db_server_context(paths),
-            db_tls12=db_server_context(paths, tls12_only=True),
+            https=server_context(paths),
+            https_optional_client_cert=server_context(paths, ssl.CERT_OPTIONAL),
+            db_tls13=server_context(paths, ssl.CERT_REQUIRED, ssl.TLSVersion.TLSv1_3),
+            db_tls12=server_context(paths, ssl.CERT_REQUIRED, ssl.TLSVersion.TLSv1_2),
         )
 
 
@@ -298,18 +296,14 @@ def _build(switches: Switches, base: int, workdir: Path) -> Testbed:
     # and the stored bytes follow one toggle each, so the two compose
     declared_encryption = "AES-128" if switches.at_rest_aes128 else "AES-256"
     if switches.no_at_rest_encryption:
-        cipher, at_rest_key = "plaintext", None  # the declaration lies
-    elif switches.at_rest_aes128:
-        cipher, at_rest_key = "aes-128-gcm", secrets.token_bytes(16)
+        at_rest_key = None  # plaintext: the declaration lies
     else:
-        cipher, at_rest_key = "aes-256-gcm", secrets.token_bytes(32)
+        at_rest_key = secrets.token_bytes(16 if switches.at_rest_aes128 else 32)
     storage_path = workdir / "isa_store.bin"
     isa_store = IsaStore()
 
     def persist() -> None:
-        write_at_rest(
-            isa_store.snapshot(), str(storage_path), cipher=cipher, key=at_rest_key
-        )
+        write_at_rest(isa_store.snapshot(), str(storage_path), at_rest_key)
 
     persist()
 

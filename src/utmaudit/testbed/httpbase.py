@@ -7,8 +7,8 @@ the pending accept() at once instead of waiting for a poll to notice.
 The allowlist decision runs in the accept thread before any TLS bytes are
 exchanged, so disallowed peers see a bare close. Every accepted connection
 gets TCP_NODELAY there too, raw or HTTP. The TLS handshake itself
-runs in the per-connection worker thread, which keeps a stalled handshake
-from blocking the accept loop.
+(`Listener.handshake`, for either kind) runs in the per-connection worker
+thread, which keeps a stalled handshake from blocking the accept loop.
 """
 
 from __future__ import annotations
@@ -93,6 +93,21 @@ class Listener:
         if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
 
+    def handshake(self, conn: socket.socket) -> Optional[socket.socket]:
+        """The accepted connection, wrapped in TLS when the listener speaks
+        it; None, after closing it, when the handshake fails."""
+        if self.tls_context is None:
+            return conn
+        conn.settimeout(15)
+        try:
+            return self.tls_context.wrap_socket(conn, server_side=True)
+        except (ssl.SSLError, OSError):
+            try:
+                conn.close()
+            except OSError:
+                pass
+            return None
+
     def wake(self) -> None:
         """Fail the pending accept() now; Linux answers it with EINVAL."""
         self._stopping = True
@@ -115,40 +130,36 @@ class TestbedHttpServer(Listener, ThreadingHTTPServer):
 
     def finish_request(self, request, client_address) -> None:
         """Serve every request of one kept-alive connection."""
-        if self.tls_context is None:
-            self.RequestHandlerClass(request, client_address, self)
-            return
-        request.settimeout(15)
-        try:
-            request = self.tls_context.wrap_socket(request, server_side=True)
-        except (ssl.SSLError, OSError):
-            try:
-                request.close()
-            except OSError:
-                pass
+        conn = self.handshake(request)
+        if conn is None:
             return
         try:
-            self.RequestHandlerClass(request, client_address, self)
+            self.RequestHandlerClass(conn, client_address, self)
         finally:
-            # socketserver shuts down only the socket it accepted, which the
-            # wrap detached; the wrapped one is this method's to close.
-            self.shutdown_request(request)
+            # socketserver shuts down only the socket it accepted, which a
+            # TLS wrap detached; the wrapped one is this method's to close.
+            self.shutdown_request(conn)
 
 
-def https_context(
-    paths: CertPaths, *, client_cert_mode: str = "none"
+def server_context(
+    paths: CertPaths,
+    client_cert: ssl.VerifyMode = ssl.CERT_NONE,
+    version: Optional[ssl.TLSVersion] = None,
 ) -> ssl.SSLContext:
-    """client_cert_mode: none | optional (optional loads the CA and lets the
-    request handler decide whether a missing peer certificate matters).
-    It issues no session ticket, in TLS 1.3 or 1.2: the scanner never
-    resumes a session."""
+    """A server context for the testbed's certificate. client_cert is the
+    verify mode for the peer's certificate; asking for one loads the CA.
+    version pins both the minimum and the maximum protocol version. It
+    issues no session ticket, in TLS 1.3 or 1.2: the scanner never resumes
+    a session."""
     ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     ctx.load_cert_chain(certfile=paths.server_cert, keyfile=paths.server_key)
     ctx.num_tickets = 0
     ctx.options |= ssl.OP_NO_TICKET
-    if client_cert_mode == "optional":
+    if client_cert != ssl.CERT_NONE:
         ctx.load_verify_locations(cafile=paths.ca_cert)
-        ctx.verify_mode = ssl.CERT_OPTIONAL
+        ctx.verify_mode = client_cert
+    if version is not None:
+        ctx.minimum_version = ctx.maximum_version = version
     return ctx
 
 

@@ -13,7 +13,6 @@ import socketserver
 import ssl
 from typing import Callable, Optional
 
-from .certs import CertPaths
 from .httpbase import Listener
 
 _DRAIN_TIMEOUT_S = 5.0
@@ -36,12 +35,10 @@ class RawListener(Listener, socketserver.ThreadingTCPServer):
         self._serve(request)
 
     def _serve(self, conn: socket.socket) -> None:
+        conn = self.handshake(conn)
+        if conn is None:
+            return
         try:
-            if self.tls_context is not None:
-                try:
-                    conn = self.tls_context.wrap_socket(conn, server_side=True)
-                except (ssl.SSLError, OSError):
-                    return
             try:
                 conn.sendall(self._banner(conn))
             except OSError:
@@ -60,36 +57,10 @@ class RawListener(Listener, socketserver.ThreadingTCPServer):
                 pass
 
 
-def db_server_context(
-    paths: CertPaths, *, tls12_only: bool = False
-) -> ssl.SSLContext:
-    ctx = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    ctx.load_cert_chain(certfile=paths.server_cert, keyfile=paths.server_key)
-    ctx.num_tickets = 0  # no session ticket, as https_context
-    ctx.options |= ssl.OP_NO_TICKET
-    ctx.load_verify_locations(cafile=paths.ca_cert)
-    ctx.verify_mode = ssl.CERT_REQUIRED
-    if tls12_only:
-        ctx.minimum_version = ssl.TLSVersion.TLSv1_2
-        ctx.maximum_version = ssl.TLSVersion.TLSv1_2
-    else:
-        ctx.minimum_version = ssl.TLSVersion.TLSv1_3
-    return ctx
-
-
-def _peer_common_name(conn: socket.socket) -> str:
-    if isinstance(conn, ssl.SSLSocket):
-        cert = conn.getpeercert()
-        if cert:
-            for rdn in cert.get("subject", ()):
-                for key, value in rdn:
-                    if key == "commonName":
-                        return value
-    return "anonymous"
-
-
 def _db_banner(conn: socket.socket) -> bytes:
-    return f"dbnode ready peer=CN:{_peer_common_name(conn)}\n".encode()
+    # Names no peer: its first bytes only let a client's read after the
+    # handshake return at once.
+    return b"dbnode ready\n"
 
 
 def _db_plaintext_banner(conn: socket.socket) -> bytes:

@@ -123,25 +123,12 @@ def _serialize(records: list[dict]) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-def write_at_rest(
-    records: list[dict],
-    path: str,
-    *,
-    cipher: str,
-    key: Optional[bytes] = None,
-) -> None:
-    """cipher is one of aes-256-gcm, aes-128-gcm, plaintext. Key length must
-    match the cipher (32 or 16 bytes)."""
-    blob = _serialize(records)
-    if cipher == "plaintext":
-        data = blob
-    elif cipher in ("aes-256-gcm", "aes-128-gcm"):
-        expected = 32 if cipher == "aes-256-gcm" else 16
-        if key is None or len(key) != expected:
-            raise ValueError(f"{cipher} requires a {expected}-byte key")
+def write_at_rest(records: list[dict], path: str, key: Optional[bytes]) -> None:
+    """Writes the records sealed with AES-GCM under ``key``, whose length
+    picks AES-128 or AES-256, or in plaintext when ``key`` is None."""
+    data = _serialize(records)
+    if key is not None:
         nonce = os.urandom(12)
-        data = nonce + AESGCM(key).encrypt(nonce, blob, None)
-    else:
-        raise ValueError(f"unknown at-rest cipher {cipher!r}")
+        data = nonce + AESGCM(key).encrypt(nonce, data, None)
     with open(path, "wb") as handle:
         handle.write(data)

@@ -150,31 +150,26 @@ def validate(
     alg = header.get("alg")
     signing_input = (header_b64 + "." + claims_b64).encode()
 
-    if alg == "none":
-        if not switches.accept_none_alg:
-            return Verdict(False, 401, "algorithm not allowed")
-        # accepted without any signature
-    elif alg == "HS256":
-        if switches.weak_alg_hs256_default:
-            expected = hmac.new(
-                keys.hs256_secret, signing_input, hashlib.sha256
-            ).digest()
-            if not hmac.compare_digest(expected, signature):
-                return Verdict(False, 401, "bad signature")
-        elif switches.accept_alg_confusion:
-            expected = hmac.new(
-                keys.public_pem, signing_input, hashlib.sha256
-            ).digest()
-            if not hmac.compare_digest(expected, signature):
-                return Verdict(False, 401, "bad signature")
-        else:
-            return Verdict(False, 401, "algorithm not allowed")
-    elif alg == "RS256":
-        if not switches.skip_signature_check:
-            if not _verify_rs256(keys, signing_input, signature):
-                return Verdict(False, 401, "bad signature")
-    else:
+    # Each allowed algorithm with the check of its signature: RS256 with
+    # the signing key, HS256 with each key that an HMAC toggle adds, and
+    # none only under its toggle. skip-signature-check skips every check.
+    # Each toggle widens what the others allow, and none shadows another.
+    hmac_keys = [key for key, on in (
+        (keys.hs256_secret, switches.weak_alg_hs256_default),
+        (keys.public_pem, switches.accept_alg_confusion),
+    ) if on]
+    checks = {"RS256": lambda: _verify_rs256(keys, signing_input, signature)}
+    if hmac_keys:
+        checks["HS256"] = lambda: any(hmac.compare_digest(
+            hmac.new(key, signing_input, hashlib.sha256).digest(), signature
+        ) for key in hmac_keys)
+    if switches.accept_none_alg:
+        checks["none"] = lambda: True  # accepted without any signature
+    check = checks.get(alg) if isinstance(alg, str) else None
+    if check is None:
         return Verdict(False, 401, "algorithm not allowed")
+    if not switches.skip_signature_check and not check():
+        return Verdict(False, 401, "bad signature")
 
     if not switches.accept_expired:
         exp = claims.get("exp")

@@ -20,7 +20,6 @@ handshake.
 
 from __future__ import annotations
 
-import enum
 import socket
 import ssl
 from dataclasses import dataclass
@@ -36,18 +35,12 @@ AT_REST_MARKERS = (b"ISA_RECORD",)
 BANNER_WAIT_S = 0.4
 
 
-class ClientCertDemand(enum.Enum):
-    REQUIRED = "Required"
-    OPTIONAL = "Optional"
-    NOT_REQUESTED = "NotRequested"
-
-
 @dataclass(frozen=True)
 class TlsPosture:
     endpoint: Endpoint
     speaks_tls: bool
     negotiated_version: Optional[str] = None
-    client_cert_demand: Optional[ClientCertDemand] = None
+    client_cert_required: Optional[bool] = None
     accepts_legacy_offer: Optional[bool] = None
     plaintext_banner: Optional[bytes] = None
     notes: tuple[str, ...] = ()
@@ -62,10 +55,10 @@ def _handshake(
     ctx: ssl.SSLContext,
     source: Optional[str],
     timeout_s: float,
-) -> tuple[str, Optional[bytes]]:
-    """Returns (version, banner). Raises
-    _HandshakeRejected when the server refuses the offered parameters,
-    including post-handshake rejection surfaced on first read."""
+) -> str:
+    """Returns the negotiated version. Raises _HandshakeRejected when the
+    server refuses the offered parameters, including post-handshake
+    rejection surfaced on first read."""
     sock = dial(endpoint.host, endpoint.port, source, timeout_s)
     try:
         try:
@@ -76,17 +69,14 @@ def _handshake(
             version = tls.version() or "unknown"
             tls.settimeout(BANNER_WAIT_S)
             try:
-                banner: Optional[bytes] = tls.recv(256)
+                if tls.recv(256) == b"":
+                    raise _HandshakeRejected("connection closed before any data")
             except (socket.timeout, TimeoutError):
-                banner = None
-            except ssl.SSLError as exc:
+                pass  # a silent peer still completed the handshake
+            except (ssl.SSLError, ConnectionError) as exc:
                 # e.g. certificate_required delivered after the handshake
                 raise _HandshakeRejected(str(exc)) from exc
-            except ConnectionError as exc:
-                raise _HandshakeRejected(str(exc)) from exc
-            if banner == b"":
-                raise _HandshakeRejected("connection closed before any data")
-            return version, banner
+            return version
         finally:
             tls.close()
     finally:
@@ -124,7 +114,7 @@ def probe_tls(
 ) -> TlsPosture:
     notes: list[str] = []
     try:
-        version, banner_with = _handshake(
+        version = _handshake(
             endpoint, client_context(ca_path, cert, key), source, timeout_s
         )
     except _HandshakeRejected as exc:
@@ -144,29 +134,13 @@ def probe_tls(
 
     # anonymous handshake: must read to surface deferred rejection
     try:
-        _, banner_without = _handshake(
-            endpoint, client_context(ca_path), source, timeout_s
-        )
-        anonymous_accepted = True
+        _handshake(endpoint, client_context(ca_path), source, timeout_s)
+        anonymous_rejected = False
     except _HandshakeRejected:
-        anonymous_accepted = False
-        banner_without = None
-
-    if not anonymous_accepted:
-        demand = ClientCertDemand.REQUIRED
-    elif (
-        bool(cert and key)
-        and banner_with is not None
-        and banner_without is not None
-        and banner_with != banner_without
-    ):
-        # server serves anonymous peers but observably tracks peer identity
-        demand = ClientCertDemand.OPTIONAL
-    else:
-        demand = ClientCertDemand.NOT_REQUESTED
+        anonymous_rejected = True
 
     try:
-        legacy_version, _ = _handshake(
+        legacy_version = _handshake(
             endpoint, client_context(ca_path, cert, key, tls12_max=True),
             source, timeout_s,
         )
@@ -179,7 +153,7 @@ def probe_tls(
         endpoint=endpoint,
         speaks_tls=True,
         negotiated_version=version,
-        client_cert_demand=demand,
+        client_cert_required=anonymous_rejected,
         accepts_legacy_offer=accepts_legacy,
         notes=tuple(notes),
     )
@@ -203,10 +177,8 @@ def _posture_outcome(comp, label: str, posture: TlsPosture) -> Outcome:
         )
     if posture.accepts_legacy_offer:
         problems.append("accepted a handshake offer capped at TLS 1.2")
-    if posture.client_cert_demand is not ClientCertDemand.REQUIRED:
-        problems.append(
-            f"client certificate not required ({posture.client_cert_demand.value})"
-        )
+    if not posture.client_cert_required:
+        problems.append("client certificate not required")
     if problems:
         return judged(True, f"{label}: " + "; ".join(problems), comp.id)
     return judged(False, f"{label}: {posture.negotiated_version}, client certificate "

@@ -224,6 +224,49 @@ def test_single_check_selection_runs_only_that_check(secure_testbed):
     assert report.findings == []
 
 
+# Two JWT checks beside two that are judged on the declaration alone.
+_MIXED_SELECTION = {"JWT-01", "JWT-06", "OAUTH-03", "DB-04"}
+
+
+def _selected_after_jwt_battery(testbed, secure_audit, monkeypatch, battery):
+    """Runs the mixed selection with ``battery`` as the JWT area's worker;
+    the other areas' checks must keep their secure verdicts."""
+    monkeypatch.setattr(engine.jwtkit, "run_jwt_battery", battery)
+    report = run_audit(testbed.manifest, selection=_MIXED_SELECTION)
+    results = {r.check_id: r for r in report.results}
+    assert set(results) == _MIXED_SELECTION
+    secure = {r.check_id: r for r in secure_audit[0].results}
+    for check_id in ("OAUTH-03", "DB-04"):
+        assert (results[check_id].status, results[check_id].evidence) == (
+            secure[check_id].status, secure[check_id].evidence), check_id
+    return results
+
+
+def test_an_area_worker_that_raises_costs_only_its_own_checks(
+    secure_testbed, secure_audit, monkeypatch,
+):
+    def broken(manifest, **kwargs):
+        raise RuntimeError("battery broke")
+
+    results = _selected_after_jwt_battery(
+        secure_testbed, secure_audit, monkeypatch, broken)
+    for check_id in ("JWT-01", "JWT-06"):
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == [
+            "probe aborted: RuntimeError: battery broke"
+        ]
+
+
+def test_a_wanted_check_without_a_result_is_not_assessable(
+    secure_testbed, secure_audit, monkeypatch,
+):
+    results = _selected_after_jwt_battery(
+        secure_testbed, secure_audit, monkeypatch, lambda manifest, **kwargs: [])
+    for check_id in ("JWT-01", "JWT-06"):
+        assert results[check_id].status is CheckStatus.NOT_ASSESSABLE
+        assert results[check_id].evidence == ["check produced no result"]
+
+
 def test_unreachable_target_reports_conditional_skips_and_no_false_passes():
     # closed local ports: every probe fails fast and nothing may Pass, not
     # even NET-01, since a deployment that is down refuses everyone

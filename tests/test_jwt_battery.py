@@ -93,6 +93,44 @@ def test_services_that_all_admit_anonymous_reads_are_not_called_undeclared(
         ), result
 
 
+class _AnonymousGatewayWrites(HttpClient):
+    """Answers 200 to a gateway write that carries no Authorization header,
+    as if the gateway admitted anonymous writers."""
+
+    def __init__(self, *args, gateway_port, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gateway_port = gateway_port
+
+    def request(self, method, url, **kwargs):
+        if (method != "GET" and f":{self.gateway_port}/" in url
+                and "Authorization" not in (kwargs.get("headers") or {})):
+            return HttpResponse(200, [], b"{}")
+        return super().request(method, url, **kwargs)
+
+
+def test_a_write_action_that_admits_anonymous_requests_is_noted_in_jwt08(
+    secure_testbed, close_after,
+):
+    manifest = secure_testbed.manifest
+    gateway = manifest.component("gateway")
+    http = close_after(_client(
+        manifest, _AnonymousGatewayWrites,
+        gateway_port=gateway.primary_endpoint().port,
+    ))
+    result = _battery(manifest, http, ["JWT-08"])["JWT-08"]
+    assert result.status is CheckStatus.PASS
+    assert result.evidence[0] == (
+        "gateway PUT /isa/audit-probe: accepts anonymous requests; "
+        "scope validation not exercised there"
+    )
+    # the log repository's write is still probed with both tokens
+    assert [line.split(" token: ")[0] for line in result.evidence[1:3]] == [
+        "log-repo POST /records with forged added-scope",
+        "log-repo POST /records with legitimately scoped read-only",
+    ]
+    assert result.evidence[3:] == ["write actions demand their declared scope"]
+
+
 class _JwksUnreadable(HttpClient):
     """The declared JWKS path answers 503, fails at transport level, or
     publishes one of the documents in ``DOCUMENTS``."""

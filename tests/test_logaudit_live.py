@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 from http.server import BaseHTTPRequestHandler
 
 import pytest
@@ -187,3 +188,17 @@ def test_append_answer_without_json_object_is_not_assessable(stub_repo):
             "mutate is unknown"
         ], append
         assert results["LOG-04"].status is CheckStatus.PASS, append
+
+
+def test_a_repository_that_serves_every_source_fails_log04(stub_repo):
+    # The stub answers every source address, so the tokened read from the
+    # external vantage (the host's default source) is served.
+    results = _check_logs(
+        stub_repo(), functools.partial(HttpClient, allowlisted_source="127.0.0.2")
+    )
+    assert results["LOG-04"].status is CheckStatus.FAIL
+    assert results["LOG-04"].component_id == "logs"
+    assert results["LOG-04"].evidence == [
+        "unauthenticated read rejected: HTTP 401",
+        "records readable from the external network vantage: HTTP 200",
+    ]

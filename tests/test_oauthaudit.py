@@ -6,6 +6,8 @@ import json
 import math
 import socket
 import sys
+import threading
+import time
 
 import pytest
 
@@ -288,7 +290,7 @@ def test_a_failed_token_request_raises_every_time_and_is_not_repeated(
 
 def test_concurrent_mints_ask_each_token_at_most_once_per_caller(token_requests):
     """Areas share one mint. Two that ask for one token at the same moment
-    may each send a request, but no caller sends a token's request twice."""
+    share one request, and no caller sends a token's request twice."""
     mint = make_mint(_AUTH_ONLY, HttpClient())
     scopes = ["utm.read", "utm.write", "logs.read", "refused"]
 
@@ -308,4 +310,30 @@ def test_concurrent_mints_ask_each_token_at_most_once_per_caller(token_requests)
     finally:
         sys.setswitchinterval(interval)
     for scope in scopes:
-        assert 1 <= token_requests.count((scope, None)) <= 8, scope
+        assert token_requests.count((scope, None)) == 1, scope
+
+
+def test_a_slow_token_endpoint_gets_one_request_per_token(monkeypatch):
+    """A token endpoint that takes 200 ms to answer: four callers that ask
+    for one token at once share its one request, and another token's
+    request goes out beside it, not after it."""
+    sent = []
+    token = make_token({"alg": "none"}, {"sub": "auditor"}, None)
+    # each distinct request waits for the other, so they must overlap
+    overlap = threading.Barrier(2, timeout=5)
+
+    def slow(server, req, http):
+        sent.append((req.scope, req.audience))
+        overlap.wait()
+        time.sleep(0.2)
+        return TokenResponse(ok=True, status=200, token=token)
+
+    monkeypatch.setattr(oauthaudit, "request_token", slow)
+    mint = make_mint(_AUTH_ONLY, HttpClient())
+    asks = [("utm.read", "gateway"), ("logs.read", "logs")] * 4
+    with concurrent.futures.ThreadPoolExecutor(max_workers=len(asks)) as pool:
+        issued = list(pool.map(
+            lambda ask: mint(scope=ask[0], audience=ask[1]), asks, timeout=10
+        ))
+    assert sorted(sent) == [("logs.read", "logs"), ("utm.read", "gateway")]
+    assert len({id(t) for t in issued[0::2]}) == len({id(t) for t in issued[1::2]}) == 1

@@ -166,7 +166,7 @@ def isa_server():
         server.RequestHandlerClass.store.close()
 
 
-def _manifest(port):
+def _manifest(port, inject="GET /isa param=area baseline=zone-a"):
     text = f"""\
 [target]
 mode = remote
@@ -182,7 +182,7 @@ endpoints = https://127.0.0.1:1
 [component gw]
 role = HttpsGateway
 endpoints = http://127.0.0.1:{port}
-inject = GET /isa param=area baseline=zone-a
+inject = {inject}
 """
     return parse_manifest(text.encode())
 
@@ -292,3 +292,39 @@ def test_payloads_dropped_at_transport_are_not_assessable(close_after):
         f"gw GET /isa param area: {count} of {count} payload requests failed "
         "at transport level"
     ]
+
+
+class _IsaFormHandler(_IsaHandler):
+    """Reads the area from a form-encoded POST body only."""
+
+    def do_GET(self):
+        self._reply(405, {"error": "method not allowed"})
+
+    def do_POST(self):
+        form = self.rfile.read(int(self.headers["Content-Length"])).decode("ascii")
+        if self.headers["Content-Type"] != "application/x-www-form-urlencoded":
+            self._reply(415, {"error": "form body expected"})
+            return
+        self.path = f"{urlparse(self.path).path}?{form}"
+        _IsaHandler.do_GET(self)
+
+
+@pytest.mark.parametrize("concat,status", [
+    (True, CheckStatus.FAIL), (False, CheckStatus.PASS),
+])
+def test_a_post_target_sends_its_parameter_as_a_form(concat, status, close_after):
+    handler = type(
+        "Handler", (_IsaFormHandler,), {"store": IsaStore(), "concat": concat}
+    )
+    server = httpbase.TestbedHttpServer(("127.0.0.1", 0), handler, None)
+    server.start()
+    try:
+        manifest = _manifest(
+            server.server_address[1], inject="post /isa param=area baseline=zone-a"
+        )
+        result = check_sql_injection(manifest, close_after(HttpClient()))
+    finally:
+        server.stop()
+        handler.store.close()
+    assert result.status is status
+    assert all(line.startswith("gw POST /isa param area: ") for line in result.evidence)

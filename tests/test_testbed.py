@@ -147,10 +147,10 @@ def test_no_toggle_name_is_spelt_outside_the_registry():
 
 
 def test_server_contexts_are_built_only_with_the_process_credentials():
-    """Only https_context and db_server_context make an SSLContext in the
-    testbed, and only harness._process_credentials calls them, so no
-    testbed start builds a server context or reads a key file."""
-    builders = {"https_context", "db_server_context"}
+    """Only server_context makes an SSLContext in the testbed, and only
+    harness._process_credentials calls it, so no testbed start builds a
+    server context or reads a key file."""
+    builders = {"server_context"}
     stray = []
     for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -384,6 +384,34 @@ def test_the_database_toggles_compose(secure_audit):
     ]
 
 
+@pytest.mark.parametrize("toggle_set", ["all-vulnerable", "OAUTH", "JWT", "LOG"])
+def test_a_toggle_set_fails_exactly_the_union_of_its_matrix_entries(
+    secure_audit, toggle_set,
+):
+    """The union rule: with a set of toggles on, the Fail set is the union
+    of their matrix entries, and every other check keeps its secure
+    verdict. Besides every toggle at once, each area's toggles run
+    together; the DB area's have the test above, and NET has one toggle."""
+    matrix = load_matrix()
+    if toggle_set in PROFILES:
+        toggles = sorted(toggles_for_profile(toggle_set))
+    else:
+        toggles = [t for t in TOGGLES if matrix[t][0].startswith(f"{toggle_set}-")]
+        assert len(toggles) > 1
+    union = {c for t in toggles for c in matrix[t]}
+    tb = start_testbed(toggles)
+    try:
+        report = run_audit(tb.manifest)
+    finally:
+        tb.stop()
+    secure = {r.check_id: r.status for r in secure_audit[0].results}
+    statuses = {r.check_id: r.status for r in report.results}
+    assert {c for c, s in statuses.items() if s is CheckStatus.FAIL} == union
+    assert {c: s for c, s in statuses.items() if c not in union} == {
+        c: s for c, s in secure.items() if c not in union
+    }
+
+
 def test_worm_probes_on_secure(secure, close_after):
     http = close_after(_client(secure))
     write = _mint(secure, http, "logs.write", "logs")
@@ -601,8 +629,7 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
         return build
 
     monkeypatch.setattr(harness, "make_bundle", counting_make_bundle)
-    for name in ("https_context", "db_server_context"):
-        monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+    monkeypatch.setattr(harness, "server_context", counting(harness.server_context))
     harness._process_credentials.cache_clear()
     first = start_testbed()
     try:
@@ -613,7 +640,7 @@ def test_testbeds_of_one_process_share_credentials_but_not_workdir_or_ports(
     try:
         assert len(made) == 1
         # four server contexts for the process, none for either start
-        assert sorted(built) == ["db_server_context"] * 2 + ["https_context"] * 2
+        assert built == ["server_context"] * 4
         assert first.workdir != second.workdir
         assert first.port_base != second.port_base
         ca = [pathlib.Path(tb.manifest.ca_path).read_bytes() for tb in (first, second)]

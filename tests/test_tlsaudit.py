@@ -9,9 +9,9 @@ import pytest
 from utmaudit.manifest import ComponentRole, Endpoint, parse_manifest
 from utmaudit.results import CheckStatus
 from utmaudit.testbed.certs import make_bundle, write_bundle
-from utmaudit.testbed.rawlisteners import db_server_context, make_db_node, make_kms
+from utmaudit.testbed.httpbase import server_context
+from utmaudit.testbed.rawlisteners import make_db_node, make_kms
 from utmaudit.tlsaudit import (
-    ClientCertDemand,
     check_data_at_rest,
     check_db_transport,
     probe_tls,
@@ -33,6 +33,11 @@ def _free_port():
     return port
 
 
+def _node_context(pki, version=ssl.TLSVersion.TLSv1_3):
+    """The testbed database node's context: a client certificate required."""
+    return server_context(pki, ssl.CERT_REQUIRED, version)
+
+
 def _run_node(tls_context):
     port = _free_port()
     node = make_db_node("127.0.0.1", port, tls_context)
@@ -45,14 +50,14 @@ def _identified(pki):
 
 
 def test_strict_node_posture(pki):
-    node, ep = _run_node(db_server_context(pki))
+    node, ep = _run_node(_node_context(pki))
     try:
         posture = probe_tls(ep, *_identified(pki))
     finally:
         node.stop()
     assert posture.speaks_tls
     assert posture.negotiated_version == "TLSv1.3"
-    assert posture.client_cert_demand is ClientCertDemand.REQUIRED
+    assert posture.client_cert_required is True
     assert posture.accepts_legacy_offer is False
 
 
@@ -68,7 +73,7 @@ def test_plaintext_node_detected(pki):
 
 
 def test_tls12_node_flagged_as_legacy(pki):
-    node, ep = _run_node(db_server_context(pki, tls12_only=True))
+    node, ep = _run_node(_node_context(pki, ssl.TLSVersion.TLSv1_2))
     try:
         posture = probe_tls(ep, *_identified(pki))
     finally:
@@ -81,7 +86,7 @@ def test_tls12_node_flagged_as_legacy(pki):
 def test_anonymous_peer_rejected_post_handshake(pki):
     # TLS 1.3 delivers certificate_required after the client finishes, so
     # the no-certificate probe must fail only at its first read
-    node, ep = _run_node(db_server_context(pki))
+    node, ep = _run_node(_node_context(pki))
     try:
         posture = probe_tls(ep, ca_path=pki.ca_cert)
     finally:
@@ -108,7 +113,7 @@ def test_kms_banner_is_plaintext():
 def test_allowlisted_node_drops_unlisted_peer(pki):
     port = _free_port()
     node = make_db_node(
-        "127.0.0.1", port, db_server_context(pki),
+        "127.0.0.1", port, _node_context(pki),
         allowlist=frozenset({"127.0.0.2"}),
     )
     node.start()
@@ -153,7 +158,7 @@ def _manifest_for(port, pki, *, storage=None, declared="AES-256", mode="introspe
 
 
 def test_db_transport_pass_and_fail(pki):
-    node, ep = _run_node(db_server_context(pki))
+    node, ep = _run_node(_node_context(pki))
     try:
         result = check_db_transport(_manifest_for(ep.port, pki))
         assert result.status is CheckStatus.PASS
@@ -169,6 +174,21 @@ def test_db_transport_pass_and_fail(pki):
         assert any("plaintext" in line for line in result.evidence)
     finally:
         node.stop()
+
+
+@pytest.mark.parametrize("client_cert", [ssl.CERT_NONE, ssl.CERT_OPTIONAL])
+def test_a_node_that_serves_anonymous_peers_fails_db01(pki, client_cert):
+    """Whether or not the node asks for a certificate, an anonymous
+    handshake it completes is the finding; the banner says nothing."""
+    node, ep = _run_node(server_context(pki, client_cert, ssl.TLSVersion.TLSv1_3))
+    try:
+        result = check_db_transport(_manifest_for(ep.port, pki))
+    finally:
+        node.stop()
+    assert result.status is CheckStatus.FAIL
+    assert result.evidence == [
+        f"db tcp://127.0.0.1:{ep.port}: client certificate not required"
+    ]
 
 
 def test_db_transport_unreachable_is_not_assessable(pki):
@@ -208,7 +228,7 @@ def test_a_connect_refused_after_the_first_handshake_is_not_a_pass(pki):
 
 
 def test_db_transport_builds_its_contexts_once_per_sweep(pki, context_builds):
-    nodes = [_run_node(db_server_context(pki)) for _ in range(2)]
+    nodes = [_run_node(_node_context(pki)) for _ in range(2)]
     try:
         manifest = _manifest_for(nodes[0][1].port, pki)
         db = manifest.by_role(ComponentRole.DB_NODE)[0]

@@ -160,7 +160,7 @@ def test_connections_are_never_shared_across_identity_or_vantage(
 ):
     paths = secure_testbed.cert_paths
     port = http_stub(
-        _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
+        _Echo, tls=httpbase.server_context(paths, ssl.CERT_OPTIONAL)
     )
     url = f"https://127.0.0.1:{port}/"
     http = HttpClient(
@@ -194,7 +194,7 @@ def test_concurrent_requests_build_each_tls_context_once(
 ):
     paths = secure_testbed.cert_paths
     port = http_stub(
-        _Echo, tls=httpbase.https_context(paths, client_cert_mode="optional")
+        _Echo, tls=httpbase.server_context(paths, ssl.CERT_OPTIONAL)
     )
     http = HttpClient(
         ca_path=paths.ca_cert, client_cert=paths.client_cert,
@@ -291,7 +291,7 @@ def test_client_contexts_are_keyed_by_the_bytes_of_their_files(
     assert wire.client_context(ca, cert, key) is original
 
     other = write_bundle(make_bundle(), str(tmp_path / "other"))
-    url = f"https://127.0.0.1:{http_stub(_Echo, tls=httpbase.https_context(other))}/"
+    url = f"https://127.0.0.1:{http_stub(_Echo, tls=httpbase.server_context(other))}/"
     before = wire.client_context(ca)
     with pytest.raises(WireError, match="CERTIFICATE_VERIFY_FAILED"):
         close_after(HttpClient(ca_path=ca)).request("GET", url)
